@@ -70,6 +70,7 @@ _NUMERIC_ERRORS = (
     E.AsymmetricDomain,
     E.SampleSingularity,
     E.CenterOnBoundary,
+    E.CertificateCheckFailed,
 )
 
 
@@ -108,6 +109,10 @@ def domain_from_dict(spec: dict) -> DomainSpec:
     raise ValueError(f"unknown domain type {kind!r}")
 
 
+# shorthand name -> (fewest, most) arguments; None: no upper limit
+_SHORTHAND_ARITY = {"circle": (1, 1), "ellipse": (2, 2), "conformal": (1, None), "perturbed": (0, 3)}
+
+
 def parse_domain(text: str, center: str | None = None) -> DomainSpec:
     """Shorthand circle(r) / ellipse(a,b) / conformal(c0,c1,...) /
     perturbed(r,eps,m), inline JSON, or a path to a JSON file."""
@@ -122,6 +127,10 @@ def parse_domain(text: str, center: str | None = None) -> DomainSpec:
         if not argstr.endswith(")"):
             raise ValueError(f"malformed domain shorthand {text!r}")
         args = [float(a) for a in argstr[:-1].split(",") if a.strip()]
+        lo, hi = _SHORTHAND_ARITY.get(name, (0, None))
+        if len(args) < lo or (hi is not None and len(args) > hi):
+            want = str(lo) if lo == hi else f"at least {lo}" if hi is None else f"{lo} to {hi}"
+            raise ValueError(f"{name}() takes {want} argument(s), got {len(args)}")
         O = _parse_complex(center) if center else None
         if name == "circle":
             return circle_domain(args[0], 0j, O)

@@ -163,6 +163,8 @@ class DomainSpec:
 
 
 def circle_domain(radius: float, center: complex = 0j, O: complex | None = None) -> DomainSpec:
+    if not radius > 0:
+        raise ValueError("circle radius must be positive")
     curve = TrigCurve({0: center, 1: radius})
     return DomainSpec([curve], center if O is None else O)
 

@@ -68,6 +68,10 @@ class TopCoefficientsNotIntegral(ArithcapError):
     pass
 
 
+class CertificateCheckFailed(ArithcapError):
+    """An exact check that holds by construction failed: a bug, never an input error."""
+
+
 # --- potential theory ---------------------------------------------------------
 
 class CenterOnBoundary(ArithcapError):

@@ -203,6 +203,8 @@ def equilibrium_measure(sol: GreenSolution, nodes: int = 256):
     """Fresh quadrature discretization of the equilibrium measure with the
     requested node count per curve: list of (point, weight), weights >= 0
     normalized to sum exactly 1."""
+    if nodes < 1:
+        raise ValueError("need at least one node per curve")
     t = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
     pts = []
     ws = []

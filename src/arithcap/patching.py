@@ -24,6 +24,7 @@ import mpmath
 import numpy as np
 
 from .errors import (
+    CertificateCheckFailed,
     DegreeCapExceeded,
     InsufficientMargin,
     NoMargin,
@@ -62,11 +63,9 @@ class RegionSpec:
 
     @property
     def bounding_radius(self) -> Fraction:
-        """Smallest radius (exactly, over the stored binary floats) with U inside D_r."""
-        return max(
-            Fraction(abs(h.center)) + Fraction(h.radius) if h.center else Fraction(h.radius)
-            for h in self.holes
-        )
+        """Exact rational r with U inside D_r: each hole's |center| (over the
+        stored binary floats) is rounded up to a multiple of 1/den(|center|^2)."""
+        return max(_abs_upper(h.center) + Fraction(h.radius) for h in self.holes)
 
     def contains(self, z: complex) -> bool:
         """z in U (strict interior of some hole)."""
@@ -77,24 +76,17 @@ class RegionSpec:
         return cls([(center, radius)])
 
 
+def _abs_upper(z: complex) -> Fraction:
+    """Rational upper bound for |z|, exact when z is 0."""
+    q = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+    n = q.numerator * q.denominator
+    root = math.isqrt(n)
+    return Fraction(root + (root * root < n), q.denominator)
+
+
 def _quarter_above(x: Fraction) -> Fraction:
     """Smallest multiple of 1/4 strictly greater than x."""
     return Fraction(math.floor(4 * x) + 1, 4)
-
-
-def _sqrt_lower(q: Fraction) -> Fraction:
-    """A rational lower bound for sqrt(q), tight to 1/denominator."""
-    if q <= 0:
-        return Fraction(0)
-    return Fraction(math.isqrt(q.numerator * q.denominator), q.denominator)
-
-
-def _abs2_at(f: RatPoly, x: Fraction, y: Fraction) -> Fraction:
-    """|f(x + iy)|^2 in exact rational arithmetic."""
-    re, im = Fraction(0), Fraction(0)
-    for c in reversed(f.coeffs):
-        re, im = re * x - im * y + c, re * y + im * x
-    return re * re + im * im
 
 
 def _lipschitz_bound(f: RatPoly, rho: Fraction) -> Fraction:
@@ -120,42 +112,87 @@ def certified_lower_bound(
     entirely inside a single hole, so the bound is conservative at every
     resolution and converges as the grid refines.  Refines up to
     max_refinements doublings while the bound stays <= 0, then raises NoMargin.
+
+    Each refinement runs on an exact integer grid (see _grid_minimum); it
+    stops at its first kept cell whose bound is <= 0, since the minimum can
+    only fall from there.
     """
     if grid < 2:
         raise ValueError("grid resolution must be at least 2")
     r = Fraction(r)
+    g, cf = scaled_integer_form(f)
     holes = [(Fraction(h.center.real), Fraction(h.center.imag), Fraction(h.radius)) for h in region.holes]
 
     n = grid
     for _ in range(max_refinements + 1):
-        s = 2 * r / n
-        h = s * Fraction(3, 4)  # rational bound >= half-diagonal s/sqrt(2)
-        lip = _lipschitz_bound(f, r + 2 * h)
-        slack = lip * h
-        keep_r2 = (r + h) ** 2
-        best: Fraction | None = None
-        for i in range(n):
-            cx = -r + (2 * i + 1) * r / n
-            for j in range(n):
-                cy = -r + (2 * j + 1) * r / n
-                if cx * cx + cy * cy > keep_r2:
-                    continue
-                inside_hole = False
-                for hx, hy, hr in holes:
-                    if hr > h:
-                        dx, dy = cx - hx, cy - hy
-                        if dx * dx + dy * dy <= (hr - h) ** 2:
-                            inside_hole = True
-                            break
-                if inside_hole:
-                    continue
-                val = _sqrt_lower(_abs2_at(f, cx, cy)) - slack
-                if best is None or val < best:
-                    best = val
-        if best is not None and best > 0:
-            return best
+        h = 2 * r / n * Fraction(3, 4)  # rational bound >= half-diagonal of a cell
+        slack = _lipschitz_bound(f, r + 2 * h) * h
+        best = _grid_minimum(g.coeffs, cf, holes, r, n, slack)
+        if best is not None:
+            return best - slack
         n *= 2
     raise NoMargin(f"no positive lower bound for |f| on K within D_{float(r):g} at grid {n // 2}")
+
+
+def _grid_minimum(coeffs: tuple, cf: int, holes: list, r: Fraction, n: int, slack: Fraction):
+    """min of sqrt_lo(|f(c)|^2) over the kept cell centres c of the n x n
+    grid on [-r, r]^2, with f = sum(coeffs[k] x^k) / cf; None when no cell is
+    kept or some kept cell has sqrt_lo(|f(c)|^2) <= slack.  For a / e in
+    lowest terms, sqrt_lo(a / e) = isqrt(a e) / e, a lower bound for the
+    square root tight to 1 / e.
+
+    Centres, h, the keep radius r + h and the hole data are integers over one
+    common denominator D, so the keep and hole tests are integer compares.
+    The centres are (X + iY) / Dc with Dc = n * den(r), and a Gaussian-integer
+    Horner step gives |f(c)|^2 = A / E with E = (cf Dc^d)^2 fixed.  Cells are
+    scanned row by row in natural order.
+    """
+    rn, rd = r.numerator, r.denominator
+    dc = n * rd
+    d = max(len(coeffs) - 1, 0)
+    scaled = [c * dc ** (d - k) for k, c in enumerate(coeffs)][::-1]
+    E = (cf * dc**d) ** 2
+    cen = [rn * (2 * i + 1 - n) for i in range(n)]  # centres over Dc
+
+    D = math.lcm(2 * dc, *(q.denominator for hole in holes for q in hole))
+    m = D // dc
+    H = m // 2 * 3 * rn  # h = 3r / (2n) over D
+    keep2 = (m * rn * n + H) ** 2
+    sq = [(m * c) ** 2 for c in cen]
+    active = []
+    for hx, hy, hr in holes:
+        HR = hr.numerator * (D // hr.denominator)
+        if HR > H:
+            HX, HY = hx.numerator * (D // hx.denominator), hy.numerator * (D // hy.denominator)
+            active.append((HX, HY, (HR - H) ** 2))
+
+    sn, sd = slack.numerator, slack.denominator
+    best = None  # (s, e) with best value s / e
+    for x, x2 in zip(cen, sq):
+        mx = m * x
+        row_holes = []
+        for HX, HY, rad2 in active:
+            room = rad2 - (mx - HX) ** 2
+            if room >= 0:
+                row_holes.append((HY, room))
+        for y, y2 in zip(cen, sq):
+            if x2 + y2 > keep2:
+                continue
+            my = m * y
+            if any((my - HY) ** 2 <= room for HY, room in row_holes):
+                continue
+            re = im = 0
+            for c in scaled:
+                re, im = re * x - im * y + c, re * y + im * x
+            A = re * re + im * im
+            gg = math.gcd(A, E)
+            e = E // gg
+            s = math.isqrt(A // gg * e)  # sqrt_lo(A / E) = s / e
+            if s * sd <= sn * e:
+                return None
+            if best is None or s * best[1] < best[0] * e:
+                best = (s, e)
+    return None if best is None else Fraction(*best)
 
 
 def _outside_disk_bound(f: RatPoly, r: Fraction) -> Fraction:
@@ -274,8 +311,8 @@ def choose_parameters(f: RatPoly, region: RegionSpec, config: PatchConfig = Patc
     if M * d > config.max_degree:
         raise DegreeCapExceeded(f"patched degree M*d = {M * d} exceeds cap {config.max_degree}")
     params = PatchParams(epsilon=eps, r=r, R_lower=R, k=k, N=N, M=M, d=d)
-    if not f.is_integral:
-        assert params.inequalities_hold() and params.growth_inequality_holds(tail)
+    if not f.is_integral and not (params.inequalities_hold() and params.growth_inequality_holds(tail)):
+        raise InsufficientMargin("certificate inequalities fail for the chosen parameters")
     return params
 
 
@@ -321,9 +358,11 @@ def clear_fractional_parts(
         if fn:
             _scaled_subtract(num, cpow, fn, Gq, q, rr, t)
         ledger.append((q, rr, Fraction(fn, D_t)))
-        assert num[t] % D_t == 0, "greedy step left a fractional coefficient"
+        if num[t] % D_t:
+            raise CertificateCheckFailed("greedy step left a fractional coefficient")
     out = IntPoly([n // cpow[Md - t] for t, n in enumerate(num)])
-    assert out.is_monic and out.degree == Md
+    if not (out.is_monic and out.degree == Md):
+        raise CertificateCheckFailed(f"greedy output is not monic of degree {Md}")
     return (out, ledger) if want_ledger else out
 
 

@@ -102,6 +102,21 @@ class TestCommands:
         assert code == 4
         assert json.loads(out)["error"] in ("NoMargin", "InsufficientMargin")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["capacity", "--domain", "circle()"],
+            ["capacity", "--domain", "ellipse(1)"],
+            ["capacity", "--domain", "circle(-1)"],
+            ["measure", "--domain", "circle(2.0)", "--nodes", "0"],
+        ],
+    )
+    def test_bad_input_usage_error(self, capsys, args):
+        code, out = run_cli(args, capsys)
+        assert code == 2
+        rec = json.loads(out)
+        assert rec["code"] == 2 and rec["error"] == "ValueError"
+
     def test_measure_csv(self, capsys):
         code, out = run_cli(
             ["measure", "--domain", "circle(2.0)", "--nodes", "16"], capsys

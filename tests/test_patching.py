@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithcap import patching
 from arithcap.errors import (
+    CertificateCheckFailed,
     InsufficientMargin,
     NoMargin,
     NotFound,
@@ -13,7 +15,9 @@ from arithcap.errors import (
 )
 from arithcap.patching import (
     PatchConfig,
+    PatchParams,
     RegionSpec,
+    _lipschitz_bound,
     certified_lower_bound,
     choose_parameters,
     clear_fractional_parts,
@@ -72,6 +76,103 @@ class TestCertifiedBound:
         assert float(L) <= true_min + 1e-12
 
 
+def _reference_sqrt_lower(q: Fraction) -> Fraction:
+    if q <= 0:
+        return Fraction(0)
+    return Fraction(math.isqrt(q.numerator * q.denominator), q.denominator)
+
+
+def _reference_abs2_at(f: RatPoly, x: Fraction, y: Fraction) -> Fraction:
+    re, im = Fraction(0), Fraction(0)
+    for c in reversed(f.coeffs):
+        re, im = re * x - im * y + c, re * y + im * x
+    return re * re + im * im
+
+
+def _reference_lower_bound(f, region, r, grid=64, max_refinements=4):
+    """certified_lower_bound as first written: one Fraction Horner per cell."""
+    if grid < 2:
+        raise ValueError("grid resolution must be at least 2")
+    r = Fraction(r)
+    holes = [(Fraction(h.center.real), Fraction(h.center.imag), Fraction(h.radius)) for h in region.holes]
+
+    n = grid
+    for _ in range(max_refinements + 1):
+        s = 2 * r / n
+        h = s * Fraction(3, 4)
+        lip = _lipschitz_bound(f, r + 2 * h)
+        slack = lip * h
+        keep_r2 = (r + h) ** 2
+        best = None
+        for i in range(n):
+            cx = -r + (2 * i + 1) * r / n
+            for j in range(n):
+                cy = -r + (2 * j + 1) * r / n
+                if cx * cx + cy * cy > keep_r2:
+                    continue
+                inside_hole = False
+                for hx, hy, hr in holes:
+                    if hr > h:
+                        dx, dy = cx - hx, cy - hy
+                        if dx * dx + dy * dy <= (hr - h) ** 2:
+                            inside_hole = True
+                            break
+                if inside_hole:
+                    continue
+                val = _reference_sqrt_lower(_reference_abs2_at(f, cx, cy)) - slack
+                if best is None or val < best:
+                    best = val
+        if best is not None and best > 0:
+            return best
+        n *= 2
+    raise NoMargin(f"no positive lower bound for |f| on K within D_{float(r):g} at grid {n // 2}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NoMargin as exc:
+        return str(exc)
+
+
+_coord = st.one_of(st.just(0.0), st.floats(min_value=-2, max_value=2))
+_hole = st.tuples(st.builds(complex, _coord, _coord), st.floats(min_value=0.05, max_value=3))
+
+
+class TestLowerBoundOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=8), min_size=1, max_size=4),
+        st.lists(_hole, min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=24).map(lambda k: F(k, 4)),
+        st.integers(min_value=2, max_value=24),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_matches_reference(self, low, holes, r, grid, refinements):
+        f = RatPoly(list(low) + [1])
+        region = RegionSpec(holes)
+        want = _outcome(_reference_lower_bound, f, region, r, grid, refinements)
+        got = _outcome(certified_lower_bound, f, region, r, grid, refinements)
+        assert type(got) is type(want) and got == want
+
+    def test_infeasible_patch_message(self):
+        with pytest.raises(NoMargin) as exc:
+            certified_lower_bound(P(F(-1, 2), 1), RegionSpec.disk(0.1), F(11, 4), 48, 4)
+        assert str(exc.value) == "no positive lower bound for |f| on K within D_2.75 at grid 768"
+
+
+class TestRegion:
+    def test_bounding_radius_centred_is_exact(self):
+        assert RegionSpec.disk(9.0).bounding_radius == 9
+        assert RegionSpec.disk(0.1).bounding_radius == F(0.1)
+
+    @pytest.mark.parametrize("center", [0.3 + 0.4j, 1.1 - 0.7j, -0.1j, 1e-3 + 2.5j])
+    def test_bounding_radius_off_centre_covers_hole(self, center):
+        bound = RegionSpec([(center, 0.25)]).bounding_radius
+        assert (bound - F(0.25)) ** 2 >= F(center.real) ** 2 + F(center.imag) ** 2
+        assert float(bound) == pytest.approx(abs(center) + 0.25, rel=1e-12)
+
+
 class TestGreedy:
     def test_micro_oracle(self):
         # f = x^2 - 1/2, M = 2, N = 1: f^2 = x^4 - x^2 + 1/4, only the
@@ -83,6 +184,11 @@ class TestGreedy:
         f = P(-3, 2, 1)
         out = clear_fractional_parts(f, 3, 2)
         assert out.to_rat() == poly_pow(f, 3)
+
+    def test_fractional_leftover_raises(self, monkeypatch):
+        monkeypatch.setattr(patching, "_scaled_subtract", lambda *args: None)
+        with pytest.raises(CertificateCheckFailed, match="fractional coefficient"):
+            clear_fractional_parts(P(F(-1, 2), 0, 1), 2, 1)
 
     def test_top_not_integral(self):
         with pytest.raises(TopCoefficientsNotIntegral):
@@ -149,6 +255,11 @@ class TestChooseParameters:
         # x^2 - 4 has roots on the boundary circle of U = D_2, so no margin over K
         with pytest.raises((InsufficientMargin, NoMargin)):
             choose_parameters(P(-4, 0, 1), D2, PatchConfig(grid=16, max_refinements=1))
+
+    def test_failed_inequalities_raise(self, monkeypatch):
+        monkeypatch.setattr(PatchParams, "inequalities_hold", lambda self: False)
+        with pytest.raises(InsufficientMargin):
+            choose_parameters(P(F(-1, 2), 0, 1), D2)
 
     def test_integer_input_short_circuits_M(self):
         params = choose_parameters(P(-1, 0, 1), D2)  # roots inside U = D_2
