@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 parse/usage, 3 exact-precondition violations,
 4 numeric/search failures, 5 I/O errors.  Errors print a structured JSON
 record {"error", "message", "code"} and the human message on stderr.
-ARITHCAP_THREADS caps worker processes (currently used by the patch spot
-check).
+ARITHCAP_THREADS is read into the config but has no effect: every command
+runs in one process.
 """
 
 from __future__ import annotations

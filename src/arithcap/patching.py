@@ -15,12 +15,12 @@ exact and covers every desk-scale experiment.
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -265,8 +265,7 @@ class PatchConfig:
     denominator_limit: int = 64
     spot_samples: int = 1000
     seed: int = 0
-    threads: int = 1
-    spot_dps_extra: int = 60
+    threads: int = 1  # no effect: the spot check runs in one process
     check_reconstruction: bool = True
 
 
@@ -304,8 +303,10 @@ def choose_parameters(f: RatPoly, region: RegionSpec, config: PatchConfig = Patc
     if f.is_integral:
         M = 1
     else:
+        # any M above max_degree // d is rejected below, so the search stops there
+        cap = max(1, min(config.search_cap, config.max_degree // d))
         try:
-            M = minimal_integerizing_exponent(f, N, cap=config.search_cap, min_exponent=k + 1).M
+            M = minimal_integerizing_exponent(f, N, cap=cap, min_exponent=k + 1).M
         except NotFound as exc:
             raise DegreeCapExceeded(str(exc)) from exc
     if M * d > config.max_degree:
@@ -499,35 +500,108 @@ def _sample_kr_points(region: RegionSpec, r: float, count: int, seed: int) -> li
     return pts[:count]
 
 
-def _min_abs_chunk(coeffs: tuple, points: list[complex], dps: int) -> tuple[float, float]:
-    with mpmath.workdps(dps):
-        best = None
-        for z in points:
-            zz = mpmath.mpc(z)
-            acc = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * zz + c
-            a = abs(acc)
-            if best is None or a < best:
-                best = a
-        log10 = mpmath.log10(best) if best > 0 else mpmath.mpf("-inf")
-        return float(best), float(log10)
+def _dyadic(z: complex) -> tuple[int, int, int]:
+    """(X, Y, E) with z = (X + iY) / 2^E exactly; z has float parts."""
+    (xn, xd), (yn, yd) = float(z.real).as_integer_ratio(), float(z.imag).as_integer_ratio()
+    E = max(xd, yd).bit_length() - 1
+    return xn * (2**E // xd), yn * (2**E // yd), E
+
+
+def _horner_fixed(rev: tuple, X: int, Y: int, E: int, P: int) -> tuple[int, int, int, bool]:
+    """p(z) = (A + iB) 2^s at z = (X + iY) / 2^E != 0, coefficients from the top.
+
+    The product by X + iY is exact.  c_k is added at scale 2^s, rounded down
+    when s > 0, which only happens while the larger of A, B has P bits, so the
+    rounding is below 2^(1-P) |acc z|.  Then A and B are truncated so that the
+    larger has at most P bits (shifted back up while s > 0 after a
+    cancellation).  Each step errs by at most (1 + sqrt 2) 2^(1-P) (|acc z| +
+    |c_k|).  Returns (A, B, s, exact), exact when nothing was rounded.
+    """
+    A = B = s = 0
+    exact = True
+    for c in rev:
+        A, B = A * X - B * Y, A * Y + B * X
+        s -= E
+        A += (c >> s) if s > 0 else (c << -s)
+        t = max(A.bit_length(), B.bit_length()) - P
+        if t > 0:
+            A >>= t
+            B >>= t
+            s += t
+            exact = False
+        elif t < 0 < s:
+            t = min(-t, s)
+            A <<= t
+            B <<= t
+            s -= t
+    return A, B, s, exact
+
+
+def _min_abs2(coeffs: tuple, points: list[complex]) -> tuple[int, int]:
+    """(m, s) with m 4^s = |p~(z)|^2 smallest over the points, where each
+    p~(z) is within 2^-60 |p~(z)| of p(z).
+
+    Horner runs in fixed point at P bits (_horner_fixed).  By Higham's bound
+    (Accuracy and Stability of Numerical Algorithms, 5.1) the error is at
+    most gamma_{n+1} S <= (n+1) 2^(4-P) S with S = sum |c_k| |z|^k, and log2 S
+    is bounded above by a log-sum-exp over the coefficient bit lengths.  A
+    point whose bound exceeds 2^-60 |p~(z)| is redone with P raised by the
+    deficit; a computation that rounded nothing is exact.
+    """
+    if not coeffs:
+        return 0, 0
+    n = len(coeffs) - 1
+    rev = coeffs[::-1]
+    nz = np.array([i for i, c in enumerate(coeffs) if c])
+    bits = np.array([coeffs[i].bit_length() for i in nz], dtype=float)
+    slack = math.log2(n + 1) + 4 + 60 + 1  # the bound, the 2^-60 target, 1 bit for float rounding
+    start = 256 + n // 4  # > log2(n+1) + 3, which the bound needs
+    best = None
+    for z in points:
+        X, Y, E = _dyadic(z)
+        if X == Y == 0:
+            m, s = coeffs[0] ** 2, 0
+        else:
+            l = bits + nz * math.log2(abs(z))
+            top = l.max()
+            log2_S = top + math.log2(np.exp2(l - top).sum())
+            P = start
+            while True:
+                A, B, s, exact = _horner_fixed(rev, X, Y, E, P)
+                m = A * A + B * B
+                if exact:
+                    break
+                log2_p = math.log2(m) / 2 + s if m else -math.inf
+                deficit = slack - P + log2_S - log2_p
+                if deficit <= 0:
+                    break
+                P = 2 * P if m == 0 else P + math.ceil(deficit) + 32
+        if best is None or _scaled_less(m, s, *best):
+            best = (m, s)
+    return best
+
+
+def _scaled_less(m1: int, s1: int, m2: int, s2: int) -> bool:
+    """m1 4^s1 < m2 4^s2, exactly."""
+    if s1 >= s2:
+        return m1 << 2 * (s1 - s2) < m2
+    return m1 < m2 << 2 * (s2 - s1)
+
+
+def _abs_and_log10(m: int, s: int) -> tuple[float, float]:
+    """|w| and log10 |w| for |w|^2 = m 4^s, each rounded once from 40 digits."""
+    if m == 0:
+        return 0.0, -math.inf
+    ctx = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    w = ctx.multiply(ctx.sqrt(decimal.Decimal(m)), ctx.power(2, s))
+    return float(w), float(ctx.log10(w))
 
 
 def spot_check_min_abs(p: IntPoly, region: RegionSpec, r: float, config: PatchConfig) -> SpotCheck:
-    """High-precision |p| at >= spot_samples points of K intersect closed D_r."""
+    """min |p| over >= spot_samples points of K intersect closed D_r, each
+    value within a relative 2^-60 (see _min_abs2)."""
     pts = _sample_kr_points(region, r, config.spot_samples, config.seed)
-    dps = config.spot_dps_extra + max(p.degree, 1) // 12
-    workers = max(1, config.threads)
-    if workers == 1 or len(pts) < 4 * workers:
-        mn, lg = _min_abs_chunk(p.coeffs, pts, dps)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [pts[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_min_abs_chunk, [p.coeffs] * workers, chunks, [dps] * workers))
-        mn, lg = min(results)
+    mn, lg = _abs_and_log10(*_min_abs2(p.coeffs, pts))
     return SpotCheck(num_samples=len(pts), min_abs_value=mn, min_log10_abs=lg)
 
 

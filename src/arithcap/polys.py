@@ -120,7 +120,7 @@ class RatPoly:
         return poly_pow(self, n)
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, complex, mpmath values."""
+        """Horner evaluation; works for int, Fraction, float and complex values."""
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -215,17 +215,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = IntPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return IntPoly(pow_coeffs(self.coeffs, n))
 
     def __call__(self, x):
         acc = 0 * x
@@ -242,19 +232,55 @@ class IntPoly:
 # --- module-level operations ----------------------------------------------------
 
 
-def poly_pow(f: RatPoly, n: int) -> RatPoly:
-    """Exact n-th power by binary exponentiation; poly_pow(f, 0) == 1."""
+def pow_coeffs(a: tuple, n: int, order: int | None = None) -> list:
+    """Coefficients of a(x)^n, or of a(x)^n mod x^(order+1) when order is given.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): for a_0 != 0 and
+    b = a^n, b_0 = a_0^n and
+
+        k a_0 b_k = sum_{j=1}^{min(d,k)} ((n+1) j - k) a_j b_{k-j},
+
+    d * len(b) coefficient products against len(b)^2 for binary powering.
+    A zero constant term is factored out as a power of x first.  Each
+    division is exact; over Z an inexact one raises NonzeroRemainder.
+    Trailing zeros of a are allowed; 0^0 = 1.
+    """
     if n < 0:
         raise ValueError("negative power")
-    result = RatPoly([1])
-    base = f
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+    nonzero = [i for i, c in enumerate(a) if c != 0]
+    if not nonzero:
+        return [1] if n == 0 else []
+    v, e = nonzero[0], nonzero[-1]
+    shift = v * n
+    count = (e - v) * n + 1
+    if order is not None:
+        count = min(count, order + 1 - shift)
+        if count <= 0:
+            return []
+    a0 = a[v]
+    terms = [(j - v, a[j]) for j in nonzero[1:]]
+    integral = all(isinstance(a[j], int) for j in nonzero)
+    n1 = n + 1
+    b = [_norm_scalar(a0**n)]
+    for k in range(1, count):
+        s = 0
+        for j, aj in terms:
+            if j > k:
+                break
+            s += (n1 * j - k) * aj * b[k - j]
+        if integral:
+            q, rem = divmod(s, k * a0)
+            if rem:
+                raise NonzeroRemainder("power recurrence division is inexact")
+            b.append(q)
+        else:
+            b.append(_norm_scalar(Fraction(s) / (k * a0)))
+    return [0] * shift + b
+
+
+def poly_pow(f: RatPoly, n: int) -> RatPoly:
+    """Exact n-th power by Miller's recurrence; poly_pow(f, 0) == 1."""
+    return RatPoly(pow_coeffs(f.coeffs, n))
 
 
 def poly_div_exact(f: RatPoly, g: RatPoly) -> RatPoly:

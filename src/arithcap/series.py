@@ -17,7 +17,7 @@ from .errors import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
 )
-from .polys import RatPoly, _norm_scalar
+from .polys import RatPoly, _norm_scalar, pow_coeffs
 
 
 @dataclass(frozen=True)
@@ -110,17 +110,7 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise ValueError("negative power")
-        result = TruncSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return TruncSeries(pow_coeffs(self.coeffs, n, self.order), self.order)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[: min(8, self.order + 1)])

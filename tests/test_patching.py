@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from arithcap import patching
 from arithcap.errors import (
     CertificateCheckFailed,
+    DegreeCapExceeded,
     InsufficientMargin,
     NoMargin,
     NotFound,
@@ -17,6 +19,7 @@ from arithcap.patching import (
     PatchConfig,
     PatchParams,
     RegionSpec,
+    SpotCheck,
     _lipschitz_bound,
     certified_lower_bound,
     choose_parameters,
@@ -25,8 +28,9 @@ from arithcap.patching import (
     patch,
     rationalize,
     reconstruction_residual,
+    spot_check_min_abs,
 )
-from arithcap.polys import RatPoly, poly_pow
+from arithcap.polys import IntPoly, RatPoly, poly_pow
 
 F = Fraction
 
@@ -265,6 +269,11 @@ class TestChooseParameters:
         params = choose_parameters(P(-1, 0, 1), D2)  # roots inside U = D_2
         assert params.M == 1
 
+    def test_search_stops_at_degree_cap(self):
+        # (x + 1/2)^2 outside D_2 needs N = 138; no M <= 256 // 2 integerizes it
+        with pytest.raises(DegreeCapExceeded):
+            choose_parameters(P(F(1, 4), 1, 1), D2, PatchConfig(max_degree=256))
+
 
 class TestRationalize:
     def test_identity_when_within_limit(self):
@@ -310,6 +319,67 @@ class TestPatchPipeline:
         assert cert.reconstruction_ok
         assert cert.p.degree == cert.params.M * cert.params.d
         assert cert.spot_check.min_abs_value > 1
+
+
+def _mpmath_min_abs(coeffs, points, dps):
+    """Oracle: min |p| and its log10 over the points by mpmath Horner."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        best = None
+        for z in points:
+            acc = mpmath.mpc(0)
+            for c in reversed(coeffs):
+                acc = acc * mpmath.mpc(z) + c
+            if best is None or abs(acc) < best:
+                best = abs(acc)
+        return float(best), float(mpmath.log10(best))
+
+
+class TestSpotCheckOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=1, max_size=64),
+        st.floats(min_value=0.05, max_value=3.0),
+        st.floats(min_value=0.1, max_value=4.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_mpmath(self, low, hole, extra, seed):
+        p = IntPoly(list(low) + [1])
+        region, r = RegionSpec.disk(hole), hole + extra
+        config = PatchConfig(spot_samples=24, seed=seed)
+        got = spot_check_min_abs(p, region, r, config)
+        pts = patching._sample_kr_points(region, r, config.spot_samples, config.seed)
+        want_abs, want_log10 = _mpmath_min_abs(p.coeffs, pts, dps=200)
+        assert got.num_samples == len(pts)
+        assert abs(got.min_log10_abs - want_log10) <= 1e-9
+        assert math.isclose(got.min_abs_value, want_abs, rel_tol=1e-12)
+
+    def test_precision_raise_path(self, monkeypatch):
+        # (x - 2)^60 on the boundary of a hole of radius 1e-3 about 2: |p| is
+        # near 1e-180 while sum |c_k||z|^k is near 4^60, so the first
+        # precision falls short and every boundary point is redone.
+        p = poly_pow(P(-2, 1), 60).to_int_poly()
+        region, r = RegionSpec([(2, 1e-3)]), 3.0
+        config = PatchConfig(spot_samples=40, seed=3)
+        runs = []
+        horner = patching._horner_fixed
+        monkeypatch.setattr(patching, "_horner_fixed", lambda *a: runs.append(a[-1]) or horner(*a))
+        got = spot_check_min_abs(p, region, r, config)
+        assert len(runs) > config.spot_samples and max(runs) > min(runs)
+        pts = patching._sample_kr_points(region, r, config.spot_samples, config.seed)
+        want_abs, want_log10 = _mpmath_min_abs(p.coeffs, pts, dps=400)
+        assert got.min_log10_abs == pytest.approx(-180, abs=1)
+        assert abs(got.min_log10_abs - want_log10) <= 1e-9
+        assert math.isclose(got.min_abs_value, want_abs, rel_tol=1e-12)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SpotCheck)] == [
+            "num_samples", "min_abs_value", "min_log10_abs",
+        ]
+        got = spot_check_min_abs(IntPoly([0, 1]), D2, 2.5, PatchConfig(spot_samples=16))
+        assert isinstance(got, SpotCheck) and got.num_samples == 16
+        assert got.min_abs_value == pytest.approx(2.0)
 
 
 class TestHeuristic:

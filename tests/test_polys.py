@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from arithcap.errors import NonzeroRemainder, NotMonic, PolyParseError
 from arithcap.parsing import parse_polynomial, poly_to_string
 from arithcap.polys import IntPoly, RatPoly, poly_div_exact, poly_pow, reverse_unit_poly
+from arithcap.series import TruncSeries
 
 F = Fraction
 
@@ -73,6 +75,69 @@ class TestPolyPow:
         for _ in range(n):
             expected = expected * f
         assert poly_pow(f, n) == expected
+
+
+def _reference_pow(base, one, n):
+    """Binary powering, the power of every type before Miller's recurrence."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+# constant terms 0 and non-units come up often; [] is the zero polynomial
+int_coeff_lists = st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=6)
+rat_coeff_lists = st.lists(small_rationals, min_size=0, max_size=5)
+powers = st.integers(min_value=0, max_value=12)
+
+
+class TestPowOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(int_coeff_lists, powers)
+    def test_int_poly(self, coeffs, n):
+        f = IntPoly(coeffs)
+        assert (f ** n).coeffs == _reference_pow(f, IntPoly([1]), n).coeffs
+
+    @settings(max_examples=200, deadline=None)
+    @given(rat_coeff_lists, powers)
+    def test_rat_poly(self, coeffs, n):
+        f = RatPoly(coeffs)
+        want = _reference_pow(f, RatPoly([1]), n).coeffs
+        assert (f ** n).coeffs == want
+        assert poly_pow(f, n).coeffs == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(int_coeff_lists, rat_coeff_lists), powers, st.integers(min_value=0, max_value=14))
+    def test_trunc_series(self, coeffs, n, order):
+        s = TruncSeries(coeffs[: order + 1], order)
+        assert (s ** n).coeffs == _reference_pow(s, TruncSeries.one(order), n).coeffs
+
+    def test_zero_constant_term_and_truncation(self):
+        s = TruncSeries([0, 0, 3, 1], 9)  # x^2 (3 + x): the cube starts at x^6
+        assert (s ** 3).coeffs == (0, 0, 0, 0, 0, 0, 27, 27, 9, 1)
+        assert (s ** 5).coeffs == (0,) * 10
+        assert IntPoly([0, 0, 3, 1]) ** 3 == IntPoly([0] * 6 + [27, 27, 9, 1])
+
+    def test_zero_polynomial(self):
+        assert IntPoly() ** 0 == IntPoly([1])
+        assert IntPoly() ** 3 == IntPoly()
+        assert (TruncSeries([], 4) ** 0).coeffs == (1, 0, 0, 0, 0)
+
+    def test_flagship_power(self):
+        g = IntPoly([1, -4, 4])  # (2x - 1)^2
+        assert (g ** 1024).coeffs == tuple(comb(2048, k) * (-2) ** k for k in range(2049))
+        assert (g ** 301).coeffs == _reference_pow(g, IntPoly([1]), 301).coeffs
+
+    def test_negative_power(self):
+        for f in (IntPoly([1, 1]), RatPoly([1, 1]), TruncSeries([1, 1], 3)):
+            with pytest.raises(ValueError):
+                f ** -1
 
 
 class TestRingLaws:
