@@ -48,7 +48,7 @@ from .curves import (
     perturbed_circle_domain,
     trig_domain,
 )
-from .greens import GreenSolution, equilibrium_measure, green_eval, solve_green
+from .greens import GreenSolution, equilibrium_measure, solve_green
 from .analytic import JetData, PolyMap, SeriesMap, jet_cap_norm, preimages, taylor_jet
 from .overflow import (
     arakelov_degree,

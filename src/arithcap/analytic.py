@@ -179,44 +179,84 @@ def jet_cap_norm(jet: JetData, sol: GreenSolution) -> float:
     return float(np.log(np.abs(jet.leading)) + jet.order * sol.robin_c)
 
 
-def preimages(f: AnalyticMap, y: complex, domain: DomainSpec, cluster_tol: float = 1e-7):
-    """All solutions of f(z) = y: (point, multiplicity, inside V) triples.
+def _companion_roots(P: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrices of the rows of P (highest
+    coefficient first, leading entry nonzero), laid out as np.roots lays out
+    its single matrix, from one stacked np.linalg.eigvals call."""
+    rows, m = P.shape[0], P.shape[1] - 1
+    A = np.zeros((rows, m, m), dtype=complex)
+    A[:, 0, :] = -P[:, 1:] / P[:, :1]
+    A[:, np.arange(1, m), np.arange(m - 1)] = 1
+    return np.linalg.eigvals(A)
 
-    Companion-matrix roots (numpy), three Newton polishing sweeps, then
-    clustering into multiplicity groups.
+
+def preimage_clusters(f: AnalyticMap, ys, cluster_tol: float = 1e-7):
+    """The solutions of f(z) = y_j for every y_j at once, in multiplicity groups.
+
+    Returns (points, mults), both of shape (len(ys), degree): row j lists the
+    groups of f(z) = y_j in the order preimages reports them, padded with
+    multiplicity 0 (and point nan).  The roots of all shifted polynomials
+    f(z) - y_j come from one stacked companion eigenproblem, built as np.roots
+    builds its matrix.  A row whose constant term is exactly 0 takes np.roots's
+    path for trailing zeros: its roots at 0 are exact zeros, one per order of
+    vanishing, after the eigenvalues of the deflated polynomial.  Three
+    vectorized Newton sweeps polish the roots; roots closer than
+    cluster_tol * (1 + max |root|) form one group, represented by their mean.
+    Each row's values match a one-row call bit for bit.
     """
     if not isinstance(f, PolyMap):
         raise TypeError("preimages require a polynomial map")
-    coeffs = np.array(f.coeffs, dtype=complex)
-    if len(coeffs) > 0:
-        coeffs = coeffs.copy()
-        coeffs[0] -= y
-    deg = len(coeffs) - 1
-    while deg >= 0 and coeffs[deg] == 0:
-        deg -= 1
-    if deg < 1:
+    d = f.degree
+    if d < 1:
         raise ConstantMap("map is constant; fibers are not finite")
-    roots = np.roots(coeffs[: deg + 1][::-1]).astype(complex)
+    ys = np.atleast_1d(np.asarray(ys, dtype=complex))
+    P = np.tile(np.array(f.coeffs[::-1], dtype=complex), (len(ys), 1))
+    P[:, d] -= ys
+    roots = np.zeros((len(ys), d), dtype=complex)
+    zero = P[:, d] == 0
+    roots[~zero] = _companion_roots(P[~zero])
+    # in a row with c_0 - y_j = 0, the trailing zeros c_0 - y_j, c_1, c_2, ...
+    # are roots at 0, left as the row's last entries
+    trailing = 1
+    while trailing < d and f.coeffs[trailing] == 0:
+        trailing += 1
+    if trailing < d:
+        roots[zero, : d - trailing] = _companion_roots(P[zero, : d + 1 - trailing])
     for _ in range(3):
-        fv = f(roots) - y
+        fv = f(roots) - ys[:, None]
         dv = f.deriv(roots)
         safe = np.abs(dv) > 1e-14 * (1 + np.abs(fv))
         roots[safe] = roots[safe] - fv[safe] / dv[safe]
-    scale = 1.0 + np.max(np.abs(roots))
-    used = np.zeros(len(roots), dtype=bool)
-    out = []
-    for i in range(len(roots)):
-        if used[i]:
-            continue
-        group = np.abs(roots - roots[i]) < cluster_tol * scale
-        group &= ~used
-        mult = int(group.sum())
-        rep = complex(roots[group].mean())
-        used |= group
-        out.append((rep, mult, bool(domain.contains([rep])[0])))
-    return out
+
+    scale = 1.0 + np.max(np.abs(roots), axis=1)
+    # close[j, i, k]: root k of row j lies in the group around root i
+    close = np.abs(roots[:, None, :] - roots[:, :, None]) < (cluster_tol * scale)[:, None, None]
+    points = roots.copy()
+    mults = np.ones(roots.shape, dtype=int)
+    for j in np.flatnonzero(np.any(close & ~np.eye(d, dtype=bool), axis=(1, 2))):
+        used = np.zeros(d, dtype=bool)
+        k = 0
+        for i in range(d):
+            if used[i]:
+                continue
+            group = close[j, i] & ~used
+            points[j, k] = complex(roots[j][group].mean())
+            mults[j, k] = int(group.sum())
+            used |= group
+            k += 1
+        points[j, k:] = np.nan
+        mults[j, k:] = 0
+    return points, mults
 
 
-def ramification_at_center(f: AnalyticMap, domain: DomainSpec, order: int = 8) -> JetData:
-    """Jet of f - f(O) at O (the ramification index is jet.order)."""
-    return taylor_jet(f, domain, order=order)
+def preimages(f: AnalyticMap, y: complex, domain: DomainSpec, cluster_tol: float = 1e-7):
+    """All solutions of f(z) = y: (point, multiplicity, inside V) triples.
+
+    One row of preimage_clusters, with the inside flags from one containment
+    call.
+    """
+    points, mults = preimage_clusters(f, [y], cluster_tol)
+    keep = mults[0] > 0
+    pts = points[0][keep]
+    inside = domain.contains(pts)
+    return [(complex(z), int(m), bool(i)) for z, m, i in zip(pts, mults[0][keep], inside)]

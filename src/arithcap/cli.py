@@ -30,7 +30,7 @@ from .curves import (
     perturbed_circle_domain,
 )
 from .family import SeedSequence, distinctness_check, family_member, q_inverse_series
-from .greens import equilibrium_measure, green_eval, solve_green
+from .greens import equilibrium_measure, solve_green
 from .integerize import integerizing_exponent, minimal_integerizing_exponent
 from .overflow import (
     arakelov_degree,
@@ -186,7 +186,7 @@ def _cmd_green(cfg: ExperimentConfig):
     dom = parse_domain(cfg.inputs["domain"], cfg.inputs.get("center"))
     sol = solve_green(dom, cfg.resolution)
     x = _parse_complex(cfg.inputs["at"])
-    return {"at": [x.real, x.imag], "green": green_eval(sol, x)}
+    return {"at": [x.real, x.imag], "green": sol.green(x)}
 
 
 def _cmd_measure(cfg: ExperimentConfig):

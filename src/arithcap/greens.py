@@ -27,6 +27,10 @@ import numpy as np
 from .curves import DomainSpec
 from .errors import PoleAtCenter, SolverIllConditioned
 
+# Points per block of a harmonic_part evaluation: 256 points x 128 sources
+# (resolution 256) is a 0.5 MiB complex temporary.
+_HARMONIC_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class GreenSolution:
@@ -46,30 +50,41 @@ class GreenSolution:
     # -- evaluation ------------------------------------------------------------
 
     def harmonic_part(self, z) -> np.ndarray:
+        """h(z) = c0 + sum_j c_j log|z - s_j| at each point of a 1-d array.
+
+        Each point's sum is its own BLAS dot product, so a value does not
+        depend on which other points share the call; points go through in
+        blocks of _HARMONIC_BLOCK to bound the points x sources temporaries.
+        """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return self.const + (
-            np.log(np.abs(z[:, None] - self.sources[None, :])) @ self.charges
-        )
-
-    def green(self, x) -> float:
-        """g(x): zero outside the interior, pole at O."""
-        x = complex(x)
-        if x == self.domain.center:
-            raise PoleAtCenter("Green's function has its pole at the center")
-        if not bool(self.domain.contains([x])[0]):
-            return 0.0
-        return float(-np.log(abs(x - self.domain.center)) + self.harmonic_part([x])[0])
-
-    def green_many(self, points) -> np.ndarray:
-        pts = np.atleast_1d(np.asarray(points, dtype=complex))
-        if np.any(pts == self.domain.center):
-            raise PoleAtCenter("Green's function has its pole at the center")
-        out = np.zeros(pts.shape, dtype=float)
-        inside = self.domain.contains(pts)
-        if np.any(inside):
-            zi = pts[inside]
-            out[inside] = -np.log(np.abs(zi - self.domain.center)) + self.harmonic_part(zi)
+        out = np.empty(z.shape, dtype=float)
+        for lo in range(0, len(z), _HARMONIC_BLOCK):
+            block = z[lo : lo + _HARMONIC_BLOCK]
+            logs = np.log(np.abs(block[:, None] - self.sources[None, :]))
+            out[lo : lo + len(block)] = self.const + np.matmul(logs[:, None, :], self.charges)[:, 0]
         return out
+
+    def green(self, x):
+        """g(x): zero outside the interior, pole at O.
+
+        A scalar gives a float and an array gives an array of its shape.
+        PoleAtCenter if any point is O.  One containment pass covers every
+        point, and g is evaluated on the inside ones only.
+        """
+        pts = np.asarray(x, dtype=complex)
+        flat = pts.ravel()
+        center = self.domain.center
+        if np.any(flat == center):
+            raise PoleAtCenter("Green's function has its pole at the center")
+        out = np.zeros(flat.shape, dtype=float)
+        if flat.size:
+            inside = self.domain.contains(flat)
+            zi = flat[inside]
+            d = zi - center
+            # hypot, as Python's abs(complex) computes it; numpy's complex
+            # absolute value can differ from it in the last bit
+            out[inside] = -np.log(np.hypot(d.real, d.imag)) + self.harmonic_part(zi)
+        return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
     def analytic_derivative(self, z) -> np.ndarray:
         """W(z) with g = Re of an antiderivative: W = -1/(z-O) + sum c_j/(z-s_j)."""
@@ -192,11 +207,6 @@ def solve_green(
     object.__setattr__(sol, "raw_weight_sum", total)
     object.__setattr__(sol, "weights", raw / total)
     return sol
-
-
-def green_eval(sol: GreenSolution, x: complex) -> float:
-    """g(x); exactly 0 outside the interior of V, PoleAtCenter at x = O."""
-    return sol.green(x)
 
 
 def equilibrium_measure(sol: GreenSolution, nodes: int = 256):

@@ -7,7 +7,12 @@ The overflow of f at (V, O) is
 
 and equals the boundary energy integral of f minus the log capacitary jet
 norm.  The def route evaluates the first formula from preimages and measure
-quadrature; the energy route evaluates the second, with the log-singular
+quadrature, in one batched pass per call: the preimages of f at every
+boundary node come from one stacked companion eigenproblem
+(analytic.preimage_clusters), all of them go through one containment pass
+(TrigCurve.winding, in blocks of 32 points), and g is evaluated once, on the
+inside ones.  The values equal those of a node-by-node evaluation bit for
+bit.  The energy route evaluates the second formula, with the log-singular
 double integral handled by kernel splits:
 
   * the diagonal t1 = t2 via log|2 sin((t1-t2)/2)|, whose Fourier expansion
@@ -28,7 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticMap, JetData, PolyMap, jet_cap_norm, preimages, taylor_jet
+from .analytic import (
+    AnalyticMap,
+    JetData,
+    PolyMap,
+    jet_cap_norm,
+    preimage_clusters,
+    preimages,
+    taylor_jet,
+)
 from .curves import DomainSpec, TrigCurve
 from .errors import (
     AsymmetricDomain,
@@ -40,14 +53,23 @@ from .errors import (
 from .greens import GreenSolution, solve_green
 
 
-def pushforward_green(sol: GreenSolution, f: AnalyticMap, w: complex) -> float:
+def pushforward_green(sol: GreenSolution, f: AnalyticMap, w):
     """f_* g (w) = sum of g over the multiplicity-weighted preimages of w;
-    preimages outside V contribute zero (g extends by zero)."""
-    total = 0.0
-    for z, mult, inside in preimages(f, w, sol.domain):
-        if inside and z != sol.domain.center:
-            total += mult * sol.green(z)
-    return total
+    preimages outside V contribute zero (g extends by zero).
+
+    A scalar w gives a float and an array gives an array of its shape.  All
+    points share one root solve (preimage_clusters), one containment pass and
+    one Green evaluation; each sum adds its groups in preimages order.
+    """
+    ws = np.asarray(w, dtype=complex)
+    points, mults = preimage_clusters(f, ws.ravel())
+    use = (mults > 0) & (points != sol.domain.center)
+    g = np.zeros(points.shape, dtype=float)
+    g[use] = sol.green(points[use])
+    total = np.zeros(len(points), dtype=float)
+    for k in range(points.shape[1]):
+        total += mults[:, k] * g[:, k]
+    return float(total[0]) if ws.ndim == 0 else total.reshape(ws.shape)
 
 
 def _measure_nodes(sol: GreenSolution, nodes: int):
@@ -387,8 +409,7 @@ def overflow(
     if method == "def":
         term1 = _center_divisor_sum(sol, f)
         _, z, w = _measure_nodes(sol, n_quad)
-        vals = np.array([pushforward_green(sol, f, complex(y)) for y in f(z)])
-        return term1 + float(w @ vals)
+        return term1 + float(w @ pushforward_green(sol, f, f(z)))
     if method == "energy":
         energy = _energy_with_retries(sol, f, n_quad).value
         jet = taylor_jet(f, sol.domain, order=max(jet_order, f.degree + 2))

@@ -12,7 +12,7 @@ import pytest
 from arithcap.analytic import PolyMap, jet_cap_norm, taylor_jet
 from arithcap.curves import circle_domain, conformal_image_domain, perturbed_circle_domain
 from arithcap.family import SeedSequence, distinctness_check, q_inverse_series, tail_bound_check
-from arithcap.greens import equilibrium_measure, green_eval, solve_green
+from arithcap.greens import equilibrium_measure, solve_green
 from arithcap.integerize import (
     integerizing_exponent,
     minimal_integerizing_exponent,
@@ -85,7 +85,7 @@ def test_criterion_03_conformal_transplant():
         for _ in range(50):
             w = rng.uniform(0.15, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             z = 1.3 * w + 0.2 * w * w
-            assert abs(green_eval(sol, complex(z)) + math.log(abs(w))) < 1e-5
+            assert abs(sol.green(complex(z)) + math.log(abs(w))) < 1e-5
 
 
 def test_criterion_04_prop35_value():

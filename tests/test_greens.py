@@ -10,9 +10,32 @@ from arithcap.curves import (
     conformal_image_domain,
     ellipse_domain,
     perturbed_circle_domain,
+    trig_domain,
 )
 from arithcap.errors import CenterOnBoundary, PoleAtCenter, SolverIllConditioned
-from arithcap.greens import equilibrium_measure, green_eval, solve_green
+from arithcap.greens import equilibrium_measure, solve_green
+
+def _reference_winding(curve, points, n=2048):
+    """TrigCurve.winding before it was blocked: one quotient array over every
+    pending point per grid shift."""
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    out = np.zeros(pts.shape, dtype=int)
+    todo = np.ones(pts.shape, dtype=bool)
+    for shift in (0.0, np.pi / n, np.e / (7 * n)):
+        if not np.any(todo):
+            break
+        t = np.linspace(0.0, 2 * np.pi, n, endpoint=False) + shift
+        g = curve(t)
+        dg = curve.deriv(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (dg[None, :] / (g[None, :] - pts[todo, None])).mean(axis=1) / 1j
+        good = np.isfinite(w) & (np.abs(w - np.rint(w.real)) < 0.3)
+        vals = np.where(good, np.rint(np.where(np.isfinite(w), w, 0).real), 0).astype(int)
+        idx = np.flatnonzero(todo)
+        out[idx[good]] = vals[good]
+        todo[idx[good]] = False
+    return out
+
 
 TEST_DOMAINS = [
     circle_domain(0.8),
@@ -44,6 +67,30 @@ class TestCurves:
         c = circle_domain(1.0).curves[0]
         w = c.winding([1.0 + 0j])  # exactly on the curve
         assert w[0] in (0, 1)
+
+    def test_blocked_winding_matches_one_shot(self):
+        curve = perturbed_circle_domain(1.0, 0.05, 3).curves[0]
+        rng = np.random.default_rng(4)
+        nodes = curve(2 * np.pi * np.arange(0, 2048, 97) / 2048)  # on the curve, at grid nodes
+        on_curve = curve(rng.uniform(0, 2 * np.pi, 20))
+        near = on_curve * (1 + rng.choice([-1, 1], 20) * 10.0 ** rng.uniform(-12, -3, 20))
+        box = rng.uniform(-1.3, 1.3, 60) + 1j * rng.uniform(-1.3, 1.3, 60)
+        pts = np.concatenate([box[:30], nodes, on_curve, near, box[30:]])
+        assert len(pts) > 3 * 32
+        got = curve.winding(pts)
+        assert np.array_equal(got, _reference_winding(curve, pts))
+        assert np.array_equal(got, [curve.winding([p])[0] for p in pts])
+
+    def test_contains_with_hole(self):
+        dom = trig_domain({1: 1.0}, 0.6, holes=[{0: 0.1, 1: 0.3}])
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(-1.2, 1.2, 200) + 1j * rng.uniform(-1.2, 1.2, 200)
+        r_out, r_hole = np.abs(pts), np.abs(pts - 0.1)
+        pts = pts[(np.abs(r_out - 1) > 1e-3) & (np.abs(r_hole - 0.3) > 1e-3)]
+        got = dom.contains(pts)
+        assert np.array_equal(got, (np.abs(pts) < 1) & (np.abs(pts - 0.1) > 0.3))
+        assert np.array_equal(got, [dom.contains([p])[0] for p in pts])
+        assert 0 < got.sum() < len(pts)
 
     def test_center_must_be_interior(self):
         with pytest.raises(ValueError):
@@ -98,16 +145,30 @@ class TestSolveGreen:
 
     def test_green_zero_outside(self):
         sol = solve_green(circle_domain(1.5), 64)
-        assert green_eval(sol, 2.5 + 1j) == 0.0
+        assert sol.green(2.5 + 1j) == 0.0
 
     def test_pole_at_center(self):
         sol = solve_green(circle_domain(1.5), 64)
         with pytest.raises(PoleAtCenter):
-            green_eval(sol, 0)
+            sol.green(0)
+
+    def test_green_array_matches_scalar(self):
+        sol = solve_green(perturbed_circle_domain(1.0, 0.05, 3), 128)
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-1.2, 1.2, 300) + 1j * rng.uniform(-1.2, 1.2, 300)
+        many = sol.green(pts)
+        assert many.shape == pts.shape and many.dtype == float
+        assert many.tolist() == [sol.green(complex(z)) for z in pts]
+        assert 0 < np.count_nonzero(many) < len(pts)
+        assert sol.green(pts[:6].reshape(2, 3)).shape == (2, 3)
+        assert sol.green(np.array([], dtype=complex)).shape == (0,)
+        assert isinstance(sol.green(0.5), float)
+        with pytest.raises(PoleAtCenter):
+            sol.green(np.array([0.5, 0.0]))
 
     def test_disk_green_closed_form(self):
         sol = solve_green(circle_domain(1.5), 256)
-        assert abs(green_eval(sol, 0.75) - math.log(2)) < 1e-10
+        assert abs(sol.green(0.75) - math.log(2)) < 1e-10
 
     def test_conformal_transplant(self):
         dom = conformal_image_domain([0, 1.3, 0.2])

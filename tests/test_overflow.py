@@ -2,9 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arithcap.analytic import PolyMap, SeriesMap, jet_cap_norm, preimages, taylor_jet
-from arithcap.curves import DomainSpec, TrigCurve, circle_domain, perturbed_circle_domain
+from arithcap.analytic import (
+    PolyMap,
+    SeriesMap,
+    jet_cap_norm,
+    preimage_clusters,
+    preimages,
+    taylor_jet,
+)
+from arithcap.curves import (
+    DomainSpec,
+    TrigCurve,
+    circle_domain,
+    conformal_image_domain,
+    perturbed_circle_domain,
+)
 from arithcap.errors import (
     AllCoefficientsBelowTolerance,
     AsymmetricDomain,
@@ -41,6 +56,81 @@ def disk_sol():
 @pytest.fixture(scope="module")
 def pert_sol():
     return solve_green(perturbed_circle_domain(1.0, 0.05, 3), 256)
+
+
+def _reference_preimages(f, y, domain, cluster_tol=1e-7):
+    """preimages before the batched kernel: np.roots on one shifted
+    polynomial, and one containment call per group."""
+    coeffs = np.array(f.coeffs, dtype=complex)
+    if len(coeffs) > 0:
+        coeffs = coeffs.copy()
+        coeffs[0] -= y
+    deg = len(coeffs) - 1
+    while deg >= 0 and coeffs[deg] == 0:
+        deg -= 1
+    if deg < 1:
+        raise ConstantMap("map is constant; fibers are not finite")
+    roots = np.roots(coeffs[: deg + 1][::-1]).astype(complex)
+    for _ in range(3):
+        fv = f(roots) - y
+        dv = f.deriv(roots)
+        safe = np.abs(dv) > 1e-14 * (1 + np.abs(fv))
+        roots[safe] = roots[safe] - fv[safe] / dv[safe]
+    scale = 1.0 + np.max(np.abs(roots))
+    used = np.zeros(len(roots), dtype=bool)
+    out = []
+    for i in range(len(roots)):
+        if used[i]:
+            continue
+        group = np.abs(roots - roots[i]) < cluster_tol * scale
+        group &= ~used
+        mult = int(group.sum())
+        rep = complex(roots[group].mean())
+        used |= group
+        out.append((rep, mult, bool(domain.contains([rep])[0])))
+    return out
+
+
+def _reference_green(sol, x):
+    """GreenSolution.green before it took arrays: one point, its own
+    containment call, one matrix-vector product."""
+    x = complex(x)
+    if not bool(sol.domain.contains([x])[0]):
+        return 0.0
+    logs = np.log(np.abs(np.array([x])[:, None] - sol.sources[None, :]))
+    return float(-np.log(abs(x - sol.domain.center)) + (sol.const + logs @ sol.charges)[0])
+
+
+def _reference_pushforward(sol, f, y):
+    """pushforward_green before batching, at one point."""
+    total = 0.0
+    for p, mult, inside in _reference_preimages(f, complex(y), sol.domain):
+        if inside and p != sol.domain.center:
+            total += mult * _reference_green(sol, p)
+    return total
+
+
+def _reference_def_route(sol, f, n_quad=2048):
+    """overflow(method="def") before batching: the preimages, containment and
+    Green evaluation of each quadrature node on their own."""
+    O = sol.domain.center
+    y0 = complex(f(np.array([O]))[0])
+    term1 = 0.0
+    for z, mult, inside in _reference_preimages(f, y0, sol.domain):
+        if abs(z - O) < 1e-6 * (1.0 + abs(O)):
+            continue
+        if inside:
+            term1 += mult * _reference_green(sol, z)
+    t = np.linspace(0.0, 2 * np.pi, n_quad, endpoint=False)
+    zs, ws = [], []
+    for i, curve in enumerate(sol.domain.curves):
+        zs.append(curve(t))
+        ws.append(sol.measure_density_t(i, t) * (2 * np.pi / n_quad))
+    z = np.concatenate(zs)
+    w = np.concatenate(ws)
+    w = w / w.sum()
+    vals = np.array([_reference_pushforward(sol, f, y) for y in f(z)])
+    return term1 + float(w @ vals)
 
 
 class TestJets:
@@ -107,6 +197,114 @@ class TestPushforward:
                 continue
             want = max(0.0, math.log(RHO ** 2 / abs(w)))
             assert abs(pushforward_green(disk_sol, Z2, w) - want) < 1e-6
+
+
+PERT = perturbed_circle_domain(1.0, 0.05, 3)
+_part = st.floats(min_value=-2, max_value=2, allow_subnormal=False)
+_coeff = st.one_of(st.sampled_from([0j, 1 + 0j, -0.5 + 0j, 0.25j]), st.builds(complex, _part, _part))
+_lead = st.builds(complex, st.floats(min_value=0.1, max_value=2), _part)
+
+
+def _assert_kernel_matches_reference(f, ys, domain):
+    """One batched kernel call over every y agrees with the np.roots
+    reference run on each y alone, and so does the scalar wrapper."""
+    points, mults = preimage_clusters(f, ys)
+    for j, y in enumerate(ys):
+        want = _reference_preimages(f, y, domain)
+        assert preimages(f, y, domain) == want
+        keep = mults[j] > 0
+        assert list(zip(points[j][keep], mults[j][keep])) == [(z, m) for z, m, _ in want]
+        assert np.all(np.isnan(points[j][~keep]))
+
+
+class TestPreimageKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_coeff, min_size=1, max_size=4),
+        _lead,
+        st.lists(st.builds(complex, _part, _part), max_size=4),
+        st.lists(st.integers(min_value=0, max_value=2047), max_size=3),
+    )
+    def test_matches_np_roots(self, low, lead, ys, nodes):
+        f = PolyMap(low + [lead])
+        boundary = PERT.curves[0](2 * np.pi * np.array(nodes, dtype=float) / 2048)
+        # f(0) zeroes the constant term; f(boundary) puts a preimage on the
+        # curve, where winding needs its retry shifts
+        ys = ys + [complex(f(np.array([0j]))[0])] + [complex(v) for v in f(boundary)]
+        _assert_kernel_matches_reference(f, ys, PERT)
+
+    @pytest.mark.parametrize(
+        "coeffs, ys",
+        [
+            ([0, 0, 1], [0.0, 0.25, 1e-30]),  # z^2: the double root at 0
+            ([0, 0, 0, 1], [0.0, 0.5j]),  # z^3: a triple root at 0
+            ([0, -0.5, 1], [0.0, -0.0625]),  # z(z - 1/2): one root at 0; a double root
+            ([0.09, -0.6, 1], [0.0, 0.3]),  # (z - 0.3)^2: a double root off 0
+            ([0, 0.3, -0.2, 1], [0.0, 1.0, -0.4 + 0.2j]),
+            ([2.0, 1.0], [2.0, 0.0]),  # degree 1
+        ],
+    )
+    def test_fixed_cases(self, coeffs, ys):
+        _assert_kernel_matches_reference(PolyMap(coeffs), [complex(y) for y in ys], PERT)
+
+    def test_roots_at_zero_stay_exact(self):
+        points, mults = preimage_clusters(PolyMap([0, 0, 1]), [0.0])
+        assert points[0][0] == 0 and mults[0].tolist() == [2, 0]
+        points, mults = preimage_clusters(PolyMap([0, -0.5, 1]), [0.0])
+        assert 0j in points[0].tolist() and mults[0].tolist() == [1, 1]
+
+    def test_constant_and_non_polynomial(self):
+        with pytest.raises(ConstantMap):
+            preimage_clusters(PolyMap([2.0]), [1.0, 2.0])
+        with pytest.raises(TypeError):
+            preimage_clusters(SeriesMap([0, 1]), [0.5])
+
+
+BENCH_DOMAINS = {
+    "disk1.5": lambda: circle_domain(1.5),
+    "disk0.8": lambda: circle_domain(0.8),
+    "pert5pct": lambda: perturbed_circle_domain(1.0, 0.05, 3),
+    "conformal": lambda: conformal_image_domain([0, 1.3, 0.2]),
+}
+BENCH_CASES = [
+    ("disk1.5", [0, 0, 1]),
+    ("disk0.8", [0, -0.5, 1]),
+    ("pert5pct", [0, -0.5, 1]),
+    ("pert5pct", [0, 0.3, -0.2, 1]),
+    ("conformal", [0, 0, 1]),
+    ("conformal", [0, 0.3, -0.2, 1]),
+]
+
+
+@pytest.fixture(scope="module")
+def bench_sols():
+    return {name: solve_green(make(), 256) for name, make in BENCH_DOMAINS.items()}
+
+
+class TestDefRouteOracle:
+    """The batched def route gives the per-node route's values bit for bit."""
+
+    @pytest.mark.parametrize("dname, coeffs", BENCH_CASES)
+    def test_bench_cases(self, bench_sols, dname, coeffs):
+        sol, f = bench_sols[dname], PolyMap(coeffs)
+        assert overflow(sol, f, "def", n_quad=256) == _reference_def_route(sol, f, 256)
+
+    def test_criterion_06_inputs(self, pert_sol):
+        for rho in (0.8, 1.5):
+            sol = solve_green(circle_domain(rho), 256)
+            for f in (Z, Z2):
+                assert overflow(sol, f, "def") == _reference_def_route(sol, f)
+        assert overflow(pert_sol, ZQ, "def") == _reference_def_route(pert_sol, ZQ)
+
+    def test_pushforward_per_point(self, pert_sol):
+        rng = np.random.default_rng(2)
+        ws = rng.uniform(-1.5, 1.5, 400) + 1j * rng.uniform(-1.5, 1.5, 400)
+        many = pushforward_green(pert_sol, ZQ, ws.reshape(20, 20))
+        assert many.shape == (20, 20)
+        want = [_reference_pushforward(pert_sol, ZQ, w) for w in ws]
+        assert many.ravel().tolist() == want
+        assert [pushforward_green(pert_sol, ZQ, w) for w in ws[:20]] == want[:20]
+        assert isinstance(pushforward_green(pert_sol, ZQ, 0.1), float)
 
 
 class TestBoundaryIntegral:
