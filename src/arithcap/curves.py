@@ -85,8 +85,11 @@ class TrigCurve:
         Points within quadrature reach of the curve itself get the grid
         shifted by a half-step; if that still does not settle the integral
         they are classified as winding 0 (boundary points carry g = 0 anyway).
+        The result has the shape of the query array (1-d for a scalar).
         """
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
+        shape = pts.shape
+        pts = pts.ravel()
         out = np.zeros(pts.shape, dtype=int)
         todo = np.ones(pts.shape, dtype=bool)
         for shift in (0.0, np.pi / n, np.e / (7 * n)):
@@ -104,7 +107,7 @@ class TrigCurve:
                 vals = np.where(good, np.rint(np.where(np.isfinite(w), w, 0).real), 0).astype(int)
                 out[idx[good]] = vals[good]
                 todo[idx[good]] = False
-        return out
+        return out.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ boundary node come from one stacked companion eigenproblem
 (TrigCurve.winding, in blocks of 32 points), and g is evaluated once, on the
 inside ones.  The values equal those of a node-by-node evaluation bit for
 bit.  The energy route evaluates the second formula, with the log-singular
-double integral handled by kernel splits:
+double integral handled by kernel splits; the smooth remainder is built in
+blocks of 128 columns (_ENERGY_BLOCK), so no n x n array exists, and the
+same pass collects the candidate coincidence pairs.  Its values equal those
+of the one-piece n x n evaluation bit for bit.  The splits are:
 
   * the diagonal t1 = t2 via log|2 sin((t1-t2)/2)|, whose Fourier expansion
     -sum e^{ik(t1-t2)} / (2|k|) integrates against the measure exactly in
@@ -23,7 +26,9 @@ double integral handled by kernel splits:
     prod_j 2 sin((theta - delta_j)/2) patterns;
   * any remaining isolated coincidence pairs f(gamma(a)) = f(gamma(b)) via a
     smooth bump cutoff whose local integral is done in polar coordinates,
-    replacing the trapezoid contribution near the singular point.
+    replacing the trapezoid contribution near the singular point; that
+    contribution, the lattice sum of the bumped integrand, is one vectorized
+    evaluation per zero, added up in the lattice's row-major order.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ from .errors import (
     WrongVanishingOrder,
 )
 from .greens import GreenSolution, solve_green
+
+# Columns per block of the energy route's smooth remainder: 2048 nodes x 128
+# columns is a 4 MiB complex difference, so no n x n array is ever built.
+_ENERGY_BLOCK = 128
 
 
 def pushforward_green(sol: GreenSolution, f: AnalyticMap, w):
@@ -132,7 +141,6 @@ def _energy_double_integral(
     sol: GreenSolution,
     f: AnalyticMap,
     n: int,
-    correct_isolated: bool = True,
     grid_offset: float = 0.0,
 ) -> _EnergyPieces:
     """integral integral log|f(z1) - f(z2)| dmu(z1) dmu(z2) on a single-curve domain."""
@@ -161,53 +169,71 @@ def _energy_double_integral(
     for delta in deltas:
         singular += -float(np.sum(np.cos(ks * delta) * mags / ks))
 
-    # smooth remainder on the n x n grid
-    diff = F[:, None] - F[None, :]
-    theta = t[:, None] - t[None, :]
-    absdiff = np.abs(diff)
-
-    handled = np.zeros((n, n), dtype=bool)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    handled |= idx == 0
-    for m in shifts_idx:
-        handled |= idx == m
-
-    if np.any((absdiff < 1e-13 * (1.0 + np.max(absdiff))) & ~handled):
-        raise BoundaryZero(
-            "f(z1) = f(z2) exactly at a node pair outside the kernel split's validity"
-        )
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S = np.log(np.where(handled, 1.0, absdiff))
-        S -= np.where(handled, 0.0, np.log(np.abs(2.0 * np.sin(theta / 2.0))))
-        for delta in deltas:
-            S -= np.where(
-                handled, 0.0, np.log(np.abs(2.0 * np.sin((theta - delta) / 2.0)))
-            )
-
     # limits on the handled diagonals: log|dF/dt| minus the non-matching kernels
     logdF = np.log(np.abs(dF))
-    di = np.arange(n)
     diag_val = logdF.copy()
     for delta in deltas:
         diag_val -= math.log(abs(2.0 * math.sin(delta / 2.0)))
-    S[di, di] = diag_val
-    for m, delta in zip(shifts_idx, deltas):
+    shift_vals = []
+    for delta in deltas:
         vals = logdF - math.log(abs(2.0 * math.sin(delta / 2.0)))
         for d2 in deltas:
             if d2 != delta:
                 vals = vals - math.log(abs(2.0 * math.sin((delta - d2) / 2.0)))
-        S[di, (di - m) % n] = vals
+        shift_vals.append(vals)
 
-    smooth = float(w @ S @ w)
+    # smooth remainder S(t_i, t_j), built _ENERGY_BLOCK columns at a time;
+    # w @ S_blk is that block of w @ S, summed as the full product sums it
+    band = 4  # candidate zeros stay this many lattice steps off a handled diagonal
+    cand_tol = 3 * h * float(np.max(np.abs(dF)))
+    di = np.arange(n)
+    wS = np.empty(n)
+    scale = 0.0  # max |F1 - F2| over the grid
+    closest = np.inf  # min |F1 - F2| off the handled diagonals
+    cand_i, cand_j, cand_d = [], [], []
+    for lo in range(0, n, _ENERGY_BLOCK):
+        cols = di[lo : lo + _ENERGY_BLOCK]
+        absdiff = np.abs(F[:, None] - F[None, cols])
+        theta = t[:, None] - t[None, cols]
+        idx = (di[:, None] - cols[None, :]) % n
+        handled = np.isin(idx, [0] + shifts_idx)
+        scale = max(scale, float(np.max(absdiff)))
+        closest = min(closest, float(np.min(np.where(handled, np.inf, absdiff))))
 
-    ncorr = 0
-    correction = 0.0
-    if correct_isolated:
-        corr, ncorr = _isolated_corrections(
-            sol, f, curve, t, w, F, absdiff, handled, shifts_idx, deltas, n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            S = np.log(np.where(handled, 1.0, absdiff))
+            S -= np.where(handled, 0.0, np.log(np.abs(2.0 * np.sin(theta / 2.0))))
+            for delta in deltas:
+                S -= np.where(
+                    handled, 0.0, np.log(np.abs(2.0 * np.sin((theta - delta) / 2.0)))
+                )
+        S[cols, cols - lo] = diag_val[cols]
+        for m, vals in zip(shifts_idx, shift_vals):
+            rows = (cols + m) % n  # S[i, (i - m) % n] lies in this block's columns
+            S[rows, cols - lo] = vals[rows]
+        wS[cols] = w @ S
+
+        # ban a band around the handled diagonals, where |F1 - F2| is legitimately small
+        banned = np.zeros(idx.shape, dtype=bool)
+        for m in [0] + list(shifts_idx):
+            banned |= np.minimum((idx - m) % n, (m - idx) % n) <= band
+        ii, jj = np.nonzero((absdiff < cand_tol) & ~banned)
+        cand_i.append(ii)
+        cand_j.append(jj + lo)
+        cand_d.append(absdiff[ii, jj])
+
+    if closest < 1e-13 * (1.0 + scale):
+        raise BoundaryZero(
+            "f(z1) = f(z2) exactly at a node pair outside the kernel split's validity"
         )
-        correction = corr
+    smooth = float(wS @ w)
+
+    ii, jj, dd = (np.concatenate(c) for c in (cand_i, cand_j, cand_d))
+    row_major = np.argsort(ii * n + jj)
+    cands = np.stack([ii, jj], axis=1)[row_major]
+    correction, ncorr = _isolated_corrections(
+        sol, f, curve, t, w, cands, dd[row_major], scale, shifts_idx, deltas, n
+    )
 
     return _EnergyPieces(
         value=float(singular + smooth + correction), shifts=deltas, corrections=ncorr
@@ -242,30 +268,21 @@ def _kernel_free_integrand(f, curve, deltas):
     return S
 
 
-def _isolated_corrections(sol, f, curve, t, w, F, absdiff, handled, shifts_idx, deltas, n):
+def _isolated_corrections(sol, f, curve, t, w, cands, cand_absdiff, scale, shifts_idx, deltas, n):
     """Find isolated off-diagonal zeros of F(t1) - F(t2) and replace the
     trapezoid contribution of a smooth bump around each by an accurate polar
-    integral of the same bumped integrand."""
+    integral of the same bumped integrand.
+
+    cands holds the lattice pairs (i, j) with a small |F(t_i) - F(t_j)| off the
+    banned diagonal bands, in row-major order, and cand_absdiff those values;
+    scale is the largest |F1 - F2| on the grid.
+    """
     h = 2 * np.pi / n
-    scale = float(np.max(absdiff))
-    grad = float(np.max(np.abs(f.deriv(curve(t)) * curve.deriv(t))))
-    # ban a band around the handled diagonals, where |F1 - F2| is legitimately small
-    band = 4
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    banned = np.zeros((n, n), dtype=bool)
-    for m in [0] + list(shifts_idx):
-        dist = np.minimum((idx - m) % n, (m - idx) % n)
-        banned |= dist <= band
-    cand_mask = (absdiff < 3 * h * grad) & ~banned
-    if not np.any(cand_mask):
-        return 0.0, 0
     # polish each candidate cluster by Newton on F(t1) - F(t2) = 0
-    pts_all = np.argwhere(cand_mask)
-    if len(pts_all) > 64:
-        order = np.argsort(absdiff[pts_all[:, 0], pts_all[:, 1]])
-        pts_all = pts_all[order[:64]]
+    if len(cands) > 64:
+        cands = cands[np.argsort(cand_absdiff)[:64]]
     zeros: list[tuple[float, float]] = []
-    for i, j in pts_all:
+    for i, j in cands:
         a, b = t[i], t[j]
         ok = True
         for _ in range(40):
@@ -325,24 +342,20 @@ def _isolated_corrections(sol, f, curve, t, w, F, absdiff, handled, shifts_idx, 
             vals = S(T1.ravel(), T2.ravel()) * dens(T1.ravel()) * dens(T2.ravel())
             vals = vals.reshape(R.shape) * _bump(R / rho0) * R
             integral += float((rw @ vals).sum() * (2 * np.pi / nth))
-        # lattice sum of the same bumped integrand
+        # lattice sum of the same bumped integrand; cumsum adds the terms left
+        # to right, in row-major (i, j) order
         i0 = int(np.floor(a / h))
         j0 = int(np.floor(b / h))
         rad = int(np.ceil(rho0 / h)) + 2
-        lattice = 0.0
-        for i in range(i0 - rad, i0 + rad + 2):
-            ti = t[i % n]
-            for j in range(j0 - rad, j0 + rad + 2):
-                tj = t[j % n]
-                r2 = _torus_dist2(ti, tj, a, b)
-                if r2 >= rho0 * rho0:
-                    continue
-                if (i % n) == (j % n) or ((i - j) % n) in shifts_idx:
-                    continue
-                r = math.sqrt(r2) / rho0
-                bmp = math.exp(1.0 - 1.0 / (1.0 - r * r)) if r < 1 else 0.0
-                sval = float(S(np.array([ti]), np.array([tj]))[0])
-                lattice += bmp * sval * w[i % n] * w[j % n]
+        ii, jj = np.meshgrid(
+            np.arange(i0 - rad, i0 + rad + 2), np.arange(j0 - rad, j0 + rad + 2), indexing="ij"
+        )
+        ii, jj = ii.ravel() % n, jj.ravel() % n
+        r2 = _torus_dist2(t[ii], t[jj], a, b)
+        keep = (r2 < rho0 * rho0) & (ii != jj) & ~np.isin((ii - jj) % n, shifts_idx)
+        ii, jj = ii[keep], jj[keep]
+        vals = _bump(np.sqrt(r2[keep]) / rho0) * S(t[ii], t[jj]) * w[ii] * w[jj]
+        lattice = float(np.cumsum(vals)[-1])
         total += integral - lattice
     return total, len(zeros)
 

@@ -92,6 +92,12 @@ class TestCurves:
         assert np.array_equal(got, [dom.contains([p])[0] for p in pts])
         assert 0 < got.sum() < len(pts)
 
+    def test_contains_keeps_2d_shape(self):
+        dom = circle_domain(1.0)
+        got = dom.contains(np.array([[0.1, 2.0], [0.5j, 3.0]]))
+        assert got.tolist() == [[True, False], [True, False]]
+        assert dom.curves[0].winding(np.array([[0.1], [2.0]])).tolist() == [[1], [0]]
+
     def test_center_must_be_interior(self):
         with pytest.raises(ValueError):
             DomainSpec([TrigCurve({1: 1.0})], 2.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithcap.analytic import (
+    AnalyticMap,
     PolyMap,
     SeriesMap,
     jet_cap_norm,
@@ -28,8 +30,16 @@ from arithcap.errors import (
     ConstantMap,
     WrongVanishingOrder,
 )
-from arithcap.greens import solve_green
+from arithcap.greens import GreenSolution, solve_green
 from arithcap.overflow import (
+    _bump,
+    _deck_shifts,
+    _energy_double_integral,
+    _energy_with_retries,
+    _EnergyPieces,
+    _kernel_free_integrand,
+    _min_exclusion_dist,
+    _torus_dist2,
     arakelov_degree,
     boundary_energy,
     classical_inverse_check,
@@ -131,6 +141,208 @@ def _reference_def_route(sol, f, n_quad=2048):
     w = w / w.sum()
     vals = np.array([_reference_pushforward(sol, f, y) for y in f(z)])
     return term1 + float(w @ vals)
+
+
+def _reference_energy(
+    sol: GreenSolution,
+    f: AnalyticMap,
+    n: int,
+    correct_isolated: bool = True,
+    grid_offset: float = 0.0,
+) -> _EnergyPieces:
+    """_energy_double_integral before it was blocked: the n x n remainder in
+    one piece, and the scalar lattice loop in the isolated corrections."""
+    domain = sol.domain
+    if len(domain.curves) != 1:
+        raise ValueError("energy quadrature implemented for single-curve domains")
+    curve = domain.curves[0]
+    h = 2 * np.pi / n
+    t = np.linspace(0.0, 2 * np.pi, n, endpoint=False) + grid_offset * h
+    z = curve(t)
+    dz = curve.deriv(t)
+    F = f(z)
+    dF = f.deriv(z) * dz  # dF/dt
+    w = sol.measure_density_t(0, t) * h
+    w = w / w.sum()
+
+    shifts_idx = _deck_shifts(F, 1e-9)
+    deltas = [2 * np.pi * m / n for m in shifts_idx]
+
+    # Fourier part: each sine kernel contributes -sum_k cos(k delta) |phi_k|^2 / k
+    phi = np.fft.fft(w)  # phi[k] = sum_j w_j e^{-2pi i jk/n}; |phi_k| is what we need
+    kmax = n // 2 - 1
+    ks = np.arange(1, kmax + 1)
+    mags = np.abs(phi[1 : kmax + 1]) ** 2
+    singular = -float(np.sum(mags / ks))
+    for delta in deltas:
+        singular += -float(np.sum(np.cos(ks * delta) * mags / ks))
+
+    # smooth remainder on the n x n grid
+    diff = F[:, None] - F[None, :]
+    theta = t[:, None] - t[None, :]
+    absdiff = np.abs(diff)
+
+    handled = np.zeros((n, n), dtype=bool)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    handled |= idx == 0
+    for m in shifts_idx:
+        handled |= idx == m
+
+    if np.any((absdiff < 1e-13 * (1.0 + np.max(absdiff))) & ~handled):
+        raise BoundaryZero(
+            "f(z1) = f(z2) exactly at a node pair outside the kernel split's validity"
+        )
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S = np.log(np.where(handled, 1.0, absdiff))
+        S -= np.where(handled, 0.0, np.log(np.abs(2.0 * np.sin(theta / 2.0))))
+        for delta in deltas:
+            S -= np.where(
+                handled, 0.0, np.log(np.abs(2.0 * np.sin((theta - delta) / 2.0)))
+            )
+
+    # limits on the handled diagonals: log|dF/dt| minus the non-matching kernels
+    logdF = np.log(np.abs(dF))
+    di = np.arange(n)
+    diag_val = logdF.copy()
+    for delta in deltas:
+        diag_val -= math.log(abs(2.0 * math.sin(delta / 2.0)))
+    S[di, di] = diag_val
+    for m, delta in zip(shifts_idx, deltas):
+        vals = logdF - math.log(abs(2.0 * math.sin(delta / 2.0)))
+        for d2 in deltas:
+            if d2 != delta:
+                vals = vals - math.log(abs(2.0 * math.sin((delta - d2) / 2.0)))
+        S[di, (di - m) % n] = vals
+
+    smooth = float(w @ S @ w)
+
+    ncorr = 0
+    correction = 0.0
+    if correct_isolated:
+        corr, ncorr = _reference_isolated_corrections(
+            sol, f, curve, t, w, F, absdiff, handled, shifts_idx, deltas, n
+        )
+        correction = corr
+
+    return _EnergyPieces(
+        value=float(singular + smooth + correction), shifts=deltas, corrections=ncorr
+    )
+
+
+def _reference_isolated_corrections(sol, f, curve, t, w, F, absdiff, handled, shifts_idx, deltas, n):
+    """Find isolated off-diagonal zeros of F(t1) - F(t2) and replace the
+    trapezoid contribution of a smooth bump around each by an accurate polar
+    integral of the same bumped integrand."""
+    h = 2 * np.pi / n
+    scale = float(np.max(absdiff))
+    grad = float(np.max(np.abs(f.deriv(curve(t)) * curve.deriv(t))))
+    # ban a band around the handled diagonals, where |F1 - F2| is legitimately small
+    band = 4
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    banned = np.zeros((n, n), dtype=bool)
+    for m in [0] + list(shifts_idx):
+        dist = np.minimum((idx - m) % n, (m - idx) % n)
+        banned |= dist <= band
+    cand_mask = (absdiff < 3 * h * grad) & ~banned
+    if not np.any(cand_mask):
+        return 0.0, 0
+    # polish each candidate cluster by Newton on F(t1) - F(t2) = 0
+    pts_all = np.argwhere(cand_mask)
+    if len(pts_all) > 64:
+        order = np.argsort(absdiff[pts_all[:, 0], pts_all[:, 1]])
+        pts_all = pts_all[order[:64]]
+    zeros: list[tuple[float, float]] = []
+    for i, j in pts_all:
+        a, b = t[i], t[j]
+        ok = True
+        for _ in range(40):
+            G = complex(f(curve(np.array([a])))[0] - f(curve(np.array([b])))[0])
+            da = complex((f.deriv(curve(np.array([a]))) * curve.deriv(np.array([a])))[0])
+            db = complex((f.deriv(curve(np.array([b]))) * curve.deriv(np.array([b])))[0])
+            J = np.array([[da.real, -db.real], [da.imag, -db.imag]])
+            try:
+                step = np.linalg.solve(J, np.array([G.real, G.imag]))
+            except np.linalg.LinAlgError:
+                ok = False
+                break
+            a, b = a - step[0], b - step[1]
+            if abs(step[0]) + abs(step[1]) < 1e-15:
+                break
+        if not ok:
+            continue
+        G = complex(f(curve(np.array([a])))[0] - f(curve(np.array([b])))[0])
+        if abs(G) > 1e-10 * scale:
+            continue
+        a %= 2 * np.pi
+        b %= 2 * np.pi
+        th = (a - b) % (2 * np.pi)
+        # skip zeros on the handled diagonals
+        if min(th, 2 * np.pi - th) < 3 * h:
+            continue
+        if any(abs(th - d) < 3 * h for d in deltas):
+            continue
+        if any(_torus_dist2(a, b, za, zb) < (3 * h) ** 2 for za, zb in zeros):
+            continue
+        zeros.append((a, b))
+
+    if not zeros:
+        return 0.0, 0
+
+    S = _kernel_free_integrand(f, curve, deltas)
+    dens = lambda tt: sol.measure_density_t(0, tt) / sol.raw_weight_sum  # noqa: E731
+    total = 0.0
+    for (a, b) in zeros:
+        rho0 = min(np.pi / 8, 0.45 * _min_exclusion_dist(a, b, zeros, deltas))
+        if rho0 < 6 * h:
+            # too close to a handled diagonal or another zero for a clean
+            # cutoff; leave the plain trapezoid contribution in place
+            continue
+        # polar integral of S * m1 * m2 * bump
+        nth = 192
+        phis = np.linspace(0.0, 2 * np.pi, nth, endpoint=False)
+        edges = [0.0, rho0 / 64, rho0 / 16, rho0 / 4, rho0]
+        gauss_x, gauss_w = np.polynomial.legendre.leggauss(24)
+        integral = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rs = 0.5 * (hi - lo) * gauss_x + 0.5 * (hi + lo)
+            rw = 0.5 * (hi - lo) * gauss_w
+            R, PHI = np.meshgrid(rs, phis, indexing="ij")
+            T1 = a + R * np.cos(PHI)
+            T2 = b + R * np.sin(PHI)
+            vals = S(T1.ravel(), T2.ravel()) * dens(T1.ravel()) * dens(T2.ravel())
+            vals = vals.reshape(R.shape) * _bump(R / rho0) * R
+            integral += float((rw @ vals).sum() * (2 * np.pi / nth))
+        # lattice sum of the same bumped integrand
+        i0 = int(np.floor(a / h))
+        j0 = int(np.floor(b / h))
+        rad = int(np.ceil(rho0 / h)) + 2
+        lattice = 0.0
+        for i in range(i0 - rad, i0 + rad + 2):
+            ti = t[i % n]
+            for j in range(j0 - rad, j0 + rad + 2):
+                tj = t[j % n]
+                r2 = _torus_dist2(ti, tj, a, b)
+                if r2 >= rho0 * rho0:
+                    continue
+                if (i % n) == (j % n) or ((i - j) % n) in shifts_idx:
+                    continue
+                r = math.sqrt(r2) / rho0
+                bmp = math.exp(1.0 - 1.0 / (1.0 - r * r)) if r < 1 else 0.0
+                sval = float(S(np.array([ti]), np.array([tj]))[0])
+                lattice += bmp * sval * w[i % n] * w[j % n]
+        total += integral - lattice
+    return total, len(zeros)
+
+
+def _reference_energy_with_retries(sol, f, n):
+    last = None
+    for offset in (0.0, 0.5, math.e / 7):
+        try:
+            return _reference_energy(sol, f, n, grid_offset=offset)
+        except BoundaryZero as exc:
+            last = exc
+    raise last
 
 
 class TestJets:
@@ -305,6 +517,49 @@ class TestDefRouteOracle:
         assert many.ravel().tolist() == want
         assert [pushforward_green(pert_sol, ZQ, w) for w in ws[:20]] == want[:20]
         assert isinstance(pushforward_green(pert_sol, ZQ, 0.1), float)
+
+
+class TestEnergyOracle:
+    """The column-blocked remainder and the vectorized lattice sum give the
+    one-piece route's values bit for bit: w @ S_blk sums each column of
+    w @ S in the full product's order, and the lattice terms are added up
+    left to right in the old loop's row-major order."""
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("dname, coeffs", BENCH_CASES)
+    def test_bench_cases(self, bench_sols, dname, coeffs, n):
+        sol, f = bench_sols[dname], PolyMap(coeffs)
+        assert _energy_with_retries(sol, f, n) == _reference_energy_with_retries(sol, f, n)
+
+    def test_criterion_06_inputs(self, pert_sol):
+        for rho in (0.8, 1.5):
+            sol = solve_green(circle_domain(rho), 256)
+            for f in (Z, Z2):
+                assert _energy_with_retries(sol, f, 2048) == _reference_energy_with_retries(sol, f, 2048)
+        assert _energy_with_retries(pert_sol, ZQ, 2048) == _reference_energy_with_retries(pert_sol, ZQ, 2048)
+
+    def test_retry_path(self):
+        # f(e^{2 pi i/3}) = f(e^{4 pi i/3}) = -1 with both parameters on the
+        # 768-node lattice, off the diagonal: offset 0 must give up
+        sol, f = solve_green(circle_domain(1.0), 256), PolyMap([0, 1, 1])
+        with pytest.raises(BoundaryZero):
+            _energy_double_integral(sol, f, 768)
+        with pytest.raises(BoundaryZero):
+            _reference_energy(sol, f, 768)
+        got = _energy_with_retries(sol, f, 768)
+        assert got == _reference_energy_with_retries(sol, f, 768)
+        assert got.corrections > 0
+
+    def test_memory_stays_flat(self, pert_sol):
+        # the one-piece n x n remainder peaked at 328 MiB here
+        cubic = PolyMap([0, 0.3, -0.2, 1])
+        tracemalloc.start()
+        try:
+            boundary_energy(pert_sol, cubic, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestBoundaryIntegral:
