@@ -1,10 +1,9 @@
 """The arithcap command line: one subcommand per operation family, JSON out.
 
 Exit codes: 0 success, 2 parse/usage, 3 exact-precondition violations,
-4 numeric/search failures, 5 I/O errors.  Errors print a structured JSON
-record {"error", "message", "code"} and the human message on stderr.
-ARITHCAP_THREADS is read into the config but has no effect: every command
-runs in one process.
+4 numeric/search failures, 5 I/O errors; a library error's code is its
+class's `exit_code`.  Errors print a structured JSON record
+{"error", "message", "code"} and the human message on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -42,36 +40,6 @@ from .overflow import (
 )
 from .parsing import parse_polynomial, poly_to_string
 from .patching import PatchConfig, RegionSpec, heuristic_real_candidate, patch
-
-_USAGE_ERRORS = (E.PolyParseError, ValueError, KeyError, json.JSONDecodeError)
-_PRECONDITION_ERRORS = (
-    E.NotMonic,
-    E.NonzeroRemainder,
-    E.NonUnitConstantTerm,
-    E.NonzeroConstantTerm,
-    E.NonInvertibleLinearTerm,
-    E.ZeroInput,
-    E.PartsMismatch,
-    E.DegreeTooSmall,
-    E.CenterNotZero,
-    E.WrongVanishingOrder,
-    E.PoleAtCenter,
-    E.ConstantMap,
-    E.TopCoefficientsNotIntegral,
-)
-_NUMERIC_ERRORS = (
-    E.NotFound,
-    E.NoMargin,
-    E.InsufficientMargin,
-    E.DegreeCapExceeded,
-    E.SolverIllConditioned,
-    E.BoundaryZero,
-    E.AllCoefficientsBelowTolerance,
-    E.AsymmetricDomain,
-    E.SampleSingularity,
-    E.CenterOnBoundary,
-    E.CertificateCheckFailed,
-)
 
 
 # --- input parsing helpers ---------------------------------------------------------
@@ -314,7 +282,6 @@ def _cmd_patch(cfg: ExperimentConfig):
         max_degree=cfg.degree_cap,
         spot_samples=int(cfg.inputs.get("spot_samples", 1000)),
         seed=cfg.seed,
-        threads=cfg.threads,
     )
     cert = patch(m, region, pconf)
     return {
@@ -409,13 +376,11 @@ def run(cfg: ExperimentConfig) -> tuple[int, str]:
     """Dispatch a config to its command; returns (exit code, artifact text)."""
     try:
         payload = _COMMANDS[cfg.command](cfg)
-    except _PRECONDITION_ERRORS as exc:
-        return 3, _error_record(exc, 3)
-    except _NUMERIC_ERRORS as exc:
-        return 4, _error_record(exc, 4)
+    except E.ArithcapError as exc:
+        return exc.exit_code, _error_record(exc, exc.exit_code)
     except OSError as exc:
         return 5, _error_record(exc, 5)
-    except _USAGE_ERRORS as exc:
+    except (ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
         return 2, _error_record(exc, 2)
     if isinstance(payload, str):
         text = payload
@@ -525,7 +490,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None and val is not False:
             inputs[key] = val
-    threads = int(os.environ.get("ARITHCAP_THREADS", base.get("threads", 1)))
     return ExperimentConfig(
         command=args.command,
         inputs=inputs,
@@ -535,7 +499,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         degree_cap=getattr(args, "degree_cap", None) or base.get("degree_cap", 8192),
         out=args.out or base.get("out"),
         seed=args.seed if args.seed is not None else base.get("seed", 0),
-        threads=threads,
     )
 
 

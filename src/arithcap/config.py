@@ -18,7 +18,6 @@ class ExperimentConfig:
     degree_cap: int = 8192
     out: str | None = None
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.resolution < 16:

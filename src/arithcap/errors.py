@@ -1,49 +1,51 @@
 """Exception taxonomy shared by all arithcap modules.
 
-Exit-code families used by the CLI:
-  2  parse / usage errors
-  3  precondition violations on exact inputs
-  4  numeric or search failures
-  5  I/O errors
+Each class carries the CLI exit code of its family in `exit_code`:
+  2  parse errors (PolyParseError; the CLI also maps ValueError and KeyError here)
+  3  precondition violations on exact inputs (the classes that set 3 below)
+  4  numeric or search failures (the default)
+  5  I/O errors (OSError, in the CLI)
 """
 
 
 class ArithcapError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 4
+
 
 # --- exact algebra -----------------------------------------------------------
 
 class NotMonic(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class NonzeroRemainder(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class NonUnitConstantTerm(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class NonzeroConstantTerm(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class NonInvertibleLinearTerm(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class ZeroInput(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class PartsMismatch(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class DegreeTooSmall(ArithcapError):
-    pass
+    exit_code = 3
 
 
 # --- integerization / patching ----------------------------------------------
@@ -65,7 +67,7 @@ class DegreeCapExceeded(ArithcapError):
 
 
 class TopCoefficientsNotIntegral(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class CertificateCheckFailed(ArithcapError):
@@ -83,11 +85,11 @@ class SolverIllConditioned(ArithcapError):
 
 
 class PoleAtCenter(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class ConstantMap(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class AllCoefficientsBelowTolerance(ArithcapError):
@@ -99,7 +101,7 @@ class BoundaryZero(ArithcapError):
 
 
 class CenterNotZero(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class AsymmetricDomain(ArithcapError):
@@ -107,7 +109,7 @@ class AsymmetricDomain(ArithcapError):
 
 
 class WrongVanishingOrder(ArithcapError):
-    pass
+    exit_code = 3
 
 
 class SampleSingularity(ArithcapError):
@@ -118,6 +120,8 @@ class SampleSingularity(ArithcapError):
 
 class PolyParseError(ArithcapError):
     """Syntax error in the polynomial text format; carries the 0-based offset."""
+
+    exit_code = 2
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")

@@ -332,6 +332,10 @@ def clear_fractional_parts(
     step, every coefficient at degree >= t is an integer; after all
     Md - N + 1 steps the result is a monic integer polynomial of degree Md.
 
+    The work runs on F^M with F = c^d f(x/c) (see _scaled_greedy_state), so a
+    step is num[j + r] -= fn F^q[j] in plain integers, and F^q descends by
+    exact monic division by F.
+
     Returns the IntPoly, or (IntPoly, ledger) with ledger a list of
     (q_i, r_i, fraction) when want_ledger is set.  The reconstruction identity
     output + sum {a_i} f^{q_i} x^{r_i} = f^M holds exactly.
@@ -341,23 +345,22 @@ def clear_fractional_parts(
     if not verify_top_integrality(f, M, N):
         raise TopCoefficientsNotIntegral(f"top {N} coefficients of f^{M} are not all integers")
     d = f.degree
-    num, cpow, state = _scaled_greedy_state(f, M)
-    g, c = state
+    num, cpow, F = _scaled_greedy_state(f, M)
     Md = M * d
 
     t_top = Md - N
     q_cur = t_top // d
-    Gq = g ** q_cur  # c^q f^q, maintained by exact division as q descends
+    Fq = F ** q_cur
     ledger = []
     for t in range(t_top, -1, -1):
         q, rr = divmod(t, d)
         while q_cur > q:
-            Gq = int_poly_div_exact(Gq, g)
+            Fq = int_poly_div_exact(Fq, F)
             q_cur -= 1
         D_t = cpow[Md - t]
         fn = num[t] % D_t
         if fn:
-            _scaled_subtract(num, cpow, fn, Gq, q, rr, t)
+            _scaled_subtract(num, fn, Fq, rr)
         ledger.append((q, rr, Fraction(fn, D_t)))
         if num[t] % D_t:
             raise CertificateCheckFailed("greedy step left a fractional coefficient")
@@ -368,72 +371,52 @@ def clear_fractional_parts(
 
 
 def _scaled_greedy_state(f: RatPoly, M: int):
-    """Integer working state for the greedy: num[t] = (f^M coeff of x^t) * c^{Md-t}.
+    """(num, cpow, F): the greedy's integer state num[t] = (f^M)_t c^{Md-t}, the
+    powers cpow[e] = c^e for e <= Md, and F = c^d f(x/c) = sum f_i c^{d-i} x^i.
 
-    Every quantity the greedy touches at degree t has denominator dividing
-    c^{Md-t} (a step at degree t shifts degree s = t - delta by a fraction
-    whose extra denominator divides c^delta), so the scaled numerators stay
-    integers throughout and no gcd normalization is ever needed.
+    c is the lcm of f's denominators, so F is a monic integer polynomial, and
+    num is exactly the coefficient list of F^M.  Likewise c^{Md-t} times the
+    coefficient of x^t in f^q x^r is that of F^q x^r (for t = dq + r), so a
+    greedy step subtracts fn F^q x^r from num with no scale factor.
     """
     d = f.degree
-    g, c = scaled_integer_form(f)  # f = g / c
-    G = g ** M
+    c = f.denominator_lcm()
     Md = M * d
     cpow = [1] * (Md + 1)
     for e in range(1, Md + 1):
         cpow[e] = cpow[e - 1] * c
-    num = []
-    for t, gi in enumerate(G.coeffs):
-        e = Md - t - M
-        if e >= 0:
-            num.append(gi * cpow[e])
-        else:
-            quot, rem = divmod(gi, cpow[-e])
-            assert rem == 0
-            num.append(quot)
-    return num, cpow, (g, c)
+    F = IntPoly([a * cpow[d - i] for i, a in enumerate(f.coeffs)])
+    return list((F ** M).coeffs), cpow, F
 
 
-def _scaled_subtract(num: list, cpow: list, fn: int, Gq, q: int, rr: int, t: int):
-    """num -= fn/c^{Md-t} * (c^q f^q) x^rr / c^q, all over the fixed denominators.
-
-    The term lands at degree s = j + rr with scale exponent e = t - s - q;
-    negative exponents divide Gq's coefficient exactly (its denominator bound)."""
-    for j, gcj in enumerate(Gq.coeffs):
-        if not gcj:
-            continue
-        s = j + rr
-        e = t - s - q
-        if e >= 0:
-            num[s] -= fn * gcj * cpow[e]
-        else:
-            quot, rem = divmod(gcj, cpow[-e])
-            assert rem == 0
-            num[s] -= fn * quot
+def _scaled_subtract(num: list, fn: int, Fq: IntPoly, rr: int):
+    """num -= fn x^rr F^q: the step's {a_t} f^q x^rr on F^M's scale."""
+    for j, a in enumerate(Fq.coeffs):
+        num[j + rr] -= fn * a
 
 
 def reconstruction_residual(f: RatPoly, M: int, p: IntPoly, ledger) -> RatPoly:
     """f^M - p - sum {a_i} f^{q_i} x^{r_i}; exact zero for a faithful ledger."""
     d = f.degree
-    num, cpow, (g, c) = _scaled_greedy_state(f, M)
+    num, cpow, F = _scaled_greedy_state(f, M)
     Md = M * d
     for i, pc in enumerate(p.coeffs):
         num[i] -= pc * cpow[Md - i]
     q_cur = None
-    Gq = None
+    Fq = None
     for q, rr, frac in ledger:
         if frac == 0:
             continue
         if q_cur is None or q > q_cur:
-            Gq = g ** q
+            Fq = F ** q
             q_cur = q
         while q_cur > q:
-            Gq = int_poly_div_exact(Gq, g)
+            Fq = int_poly_div_exact(Fq, F)
             q_cur -= 1
         t = d * q + rr
         D_t = cpow[Md - t]
         fn = frac.numerator * (D_t // frac.denominator)  # frac over the fixed scale
-        _scaled_subtract(num, cpow, fn, Gq, q, rr, t)
+        _scaled_subtract(num, fn, Fq, rr)
     return RatPoly(
         [Fraction(n, cpow[Md - t]) for t, n in enumerate(num)]
     )

@@ -283,30 +283,32 @@ def poly_pow(f: RatPoly, n: int) -> RatPoly:
     return RatPoly(pow_coeffs(f.coeffs, n))
 
 
-def poly_div_exact(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Quotient f/g for monic g dividing f exactly.
+def div_exact_coeffs(a: tuple, b: tuple) -> list:
+    """Coefficients of a(x) / b(x) for monic b dividing a exactly, by
+    synthetic division; over Z or Q alike.
 
-    Raises NonzeroRemainder when the division leaves a remainder.
+    Raises NotMonic for a divisor that is not monic and NonzeroRemainder when
+    the division leaves a remainder.
     """
-    if not g.is_monic:
+    if not b or b[-1] != 1:
         raise NotMonic("divisor must be monic")
-    rem = list(f.coeffs)
-    dg = g.degree
-    if len(rem) < dg + 1:
-        if any(c != 0 for c in rem):
-            raise NonzeroRemainder("degree of f below degree of g")
-        return RatPoly()
-    q = [0] * (len(rem) - dg)
-    for i in range(len(rem) - dg - 1, -1, -1):
-        c = rem[i + dg]
-        if c == 0:
-            continue
-        q[i] = c
-        for j, gc in enumerate(g.coeffs):
-            rem[i + j] = _norm_scalar(rem[i + j] - c * gc)
-    if any(c != 0 for c in rem[:dg]):
+    db = len(b) - 1
+    rem = list(a)
+    q = [0] * max(len(rem) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + db]
+        if c:
+            q[i] = c
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    if any(rem[:db]):
         raise NonzeroRemainder("division is inexact")
-    return RatPoly(q)
+    return q
+
+
+def poly_div_exact(f: RatPoly, g: RatPoly) -> RatPoly:
+    """Quotient f/g for monic g dividing f exactly (see div_exact_coeffs)."""
+    return RatPoly(div_exact_coeffs(f.coeffs, g.coeffs))
 
 
 def reverse_unit_poly(p: IntPoly) -> IntPoly:
@@ -320,34 +322,8 @@ def reverse_unit_poly(p: IntPoly) -> IntPoly:
 
 
 def int_poly_div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Quotient f/g over Z when g divides f exactly (g need not be monic).
-
-    Every leading-coefficient division must come out exact, which holds
-    whenever the true quotient is integral (e.g. f = g^q / g).
-    """
-    if g.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = list(f.coeffs)
-    dg = g.degree
-    lead = g.coeffs[-1]
-    if len(rem) < dg + 1:
-        if any(rem):
-            raise NonzeroRemainder("degree of f below degree of g")
-        return IntPoly()
-    q = [0] * (len(rem) - dg)
-    for i in range(len(rem) - dg - 1, -1, -1):
-        c = rem[i + dg]
-        if c == 0:
-            continue
-        if c % lead:
-            raise NonzeroRemainder("leading division inexact")
-        c //= lead
-        q[i] = c
-        for j, gc in enumerate(g.coeffs):
-            rem[i + j] -= c * gc
-    if any(rem[:dg]):
-        raise NonzeroRemainder("division is inexact")
-    return IntPoly(q)
+    """Quotient f/g over Z for monic g dividing f exactly (see div_exact_coeffs)."""
+    return IntPoly(div_exact_coeffs(f.coeffs, g.coeffs))
 
 
 def scaled_integer_form(f: RatPoly) -> tuple[IntPoly, int]:

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from arithcap import cli
+from arithcap import errors as E
 from arithcap.cli import main, parse_domain, parse_map
 from arithcap.config import ExperimentConfig
 
@@ -168,18 +170,89 @@ class TestCommands:
         assert code == 0
         assert abs(json.loads(out)["capacity"] - 0.5) < 1e-6
 
+    def test_config_file_threads_key_ignored(self, capsys, tmp_path):
+        # "threads" is no longer a config field; old files that hold it still run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": {"domain": "circle(1.0)"}, "threads": 4}))
+        code, out = run_cli(["capacity", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert abs(json.loads(out)["capacity"] - 1.0) < 1e-6
 
-def test_threads_env_var(monkeypatch):
-    import argparse
 
-    from arithcap.cli import config_from_args
+# The exit-code tuples cli.run used before the codes moved onto the classes.
+_REFERENCE_USAGE_ERRORS = (E.PolyParseError, ValueError, KeyError, json.JSONDecodeError)
+_REFERENCE_PRECONDITION_ERRORS = (
+    E.NotMonic,
+    E.NonzeroRemainder,
+    E.NonUnitConstantTerm,
+    E.NonzeroConstantTerm,
+    E.NonInvertibleLinearTerm,
+    E.ZeroInput,
+    E.PartsMismatch,
+    E.DegreeTooSmall,
+    E.CenterNotZero,
+    E.WrongVanishingOrder,
+    E.PoleAtCenter,
+    E.ConstantMap,
+    E.TopCoefficientsNotIntegral,
+)
+_REFERENCE_NUMERIC_ERRORS = (
+    E.NotFound,
+    E.NoMargin,
+    E.InsufficientMargin,
+    E.DegreeCapExceeded,
+    E.SolverIllConditioned,
+    E.BoundaryZero,
+    E.AllCoefficientsBelowTolerance,
+    E.AsymmetricDomain,
+    E.SampleSingularity,
+    E.CenterOnBoundary,
+    E.CertificateCheckFailed,
+)
 
-    monkeypatch.setenv("ARITHCAP_THREADS", "4")
-    ns = argparse.Namespace(
-        command="capacity", config=None, resolution=None, out=None, seed=None,
-        domain="circle(1.0)", center=None,
-    )
-    assert config_from_args(ns).threads == 4
+
+def _reference_exit_code(exc: Exception) -> int | None:
+    """The code the tuples gave, checked in cli.run's old order; None for a
+    class they did not list."""
+    for family, code in (
+        (_REFERENCE_PRECONDITION_ERRORS, 3),
+        (_REFERENCE_NUMERIC_ERRORS, 4),
+        (OSError, 5),
+        (_REFERENCE_USAGE_ERRORS, 2),
+    ):
+        if isinstance(exc, family):
+            return code
+    return None
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+def _instance(cls):
+    return cls("boom", 0) if issubclass(cls, E.PolyParseError) else cls("boom")
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [_instance(cls) for cls in _all_subclasses(E.ArithcapError)]
+    + [ValueError("boom"), KeyError("boom"), json.JSONDecodeError("boom", "{", 0),
+       FileNotFoundError("boom")],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_exit_code_by_type(monkeypatch, exc):
+    def command(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "capacity", command)
+    code, text = cli.run(ExperimentConfig(command="capacity"))
+    want = _reference_exit_code(exc)
+    assert code == (exc.exit_code if want is None else want)
+    rec = json.loads(text)
+    assert rec == {"error": type(exc).__name__, "message": str(exc), "code": code}
+
 
 
 def test_series_strings_reparse():

@@ -12,9 +12,12 @@ from arithcap.errors import (
     DegreeCapExceeded,
     InsufficientMargin,
     NoMargin,
+    NonzeroRemainder,
     NotFound,
+    NotMonic,
     TopCoefficientsNotIntegral,
 )
+from arithcap.integerize import minimal_integerizing_exponent, verify_top_integrality
 from arithcap.patching import (
     PatchConfig,
     PatchParams,
@@ -30,7 +33,7 @@ from arithcap.patching import (
     reconstruction_residual,
     spot_check_min_abs,
 )
-from arithcap.polys import IntPoly, RatPoly, poly_pow
+from arithcap.polys import IntPoly, RatPoly, poly_pow, scaled_integer_form
 
 F = Fraction
 
@@ -177,6 +180,147 @@ class TestRegion:
         assert float(bound) == pytest.approx(abs(center) + 0.25, rel=1e-12)
 
 
+def _reference_int_poly_div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
+    """int_poly_div_exact as it was before the monic kernel: g may be non-monic."""
+    if g.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    rem = list(f.coeffs)
+    dg = g.degree
+    lead = g.coeffs[-1]
+    if len(rem) < dg + 1:
+        if any(rem):
+            raise NonzeroRemainder("degree of f below degree of g")
+        return IntPoly()
+    q = [0] * (len(rem) - dg)
+    for i in range(len(rem) - dg - 1, -1, -1):
+        c = rem[i + dg]
+        if c == 0:
+            continue
+        if c % lead:
+            raise NonzeroRemainder("leading division inexact")
+        c //= lead
+        q[i] = c
+        for j, gc in enumerate(g.coeffs):
+            rem[i + j] -= c * gc
+    if any(rem[:dg]):
+        raise NonzeroRemainder("division is inexact")
+    return IntPoly(q)
+
+
+def _reference_clear_fractional_parts(
+    f: RatPoly, M: int, N: int, want_ledger: bool = False
+):
+    """The greedy on numerators scaled by powers of c = lcm(denominators),
+    with g = c f and G^q = c^q f^q, as first written."""
+    if not f.is_monic:
+        raise NotMonic("f must be monic")
+    if not verify_top_integrality(f, M, N):
+        raise TopCoefficientsNotIntegral(f"top {N} coefficients of f^{M} are not all integers")
+    d = f.degree
+    num, cpow, state = _reference_scaled_greedy_state(f, M)
+    g, c = state
+    Md = M * d
+
+    t_top = Md - N
+    q_cur = t_top // d
+    Gq = g ** q_cur  # c^q f^q, maintained by exact division as q descends
+    ledger = []
+    for t in range(t_top, -1, -1):
+        q, rr = divmod(t, d)
+        while q_cur > q:
+            Gq = _reference_int_poly_div_exact(Gq, g)
+            q_cur -= 1
+        D_t = cpow[Md - t]
+        fn = num[t] % D_t
+        if fn:
+            _reference_scaled_subtract(num, cpow, fn, Gq, q, rr, t)
+        ledger.append((q, rr, Fraction(fn, D_t)))
+        if num[t] % D_t:
+            raise CertificateCheckFailed("greedy step left a fractional coefficient")
+    out = IntPoly([n // cpow[Md - t] for t, n in enumerate(num)])
+    if not (out.is_monic and out.degree == Md):
+        raise CertificateCheckFailed(f"greedy output is not monic of degree {Md}")
+    return (out, ledger) if want_ledger else out
+
+
+def _reference_scaled_greedy_state(f: RatPoly, M: int):
+    """Integer working state for the greedy: num[t] = (f^M coeff of x^t) * c^{Md-t}."""
+    d = f.degree
+    g, c = scaled_integer_form(f)  # f = g / c
+    G = g ** M
+    Md = M * d
+    cpow = [1] * (Md + 1)
+    for e in range(1, Md + 1):
+        cpow[e] = cpow[e - 1] * c
+    num = []
+    for t, gi in enumerate(G.coeffs):
+        e = Md - t - M
+        if e >= 0:
+            num.append(gi * cpow[e])
+        else:
+            quot, rem = divmod(gi, cpow[-e])
+            assert rem == 0
+            num.append(quot)
+    return num, cpow, (g, c)
+
+
+def _reference_scaled_subtract(num: list, cpow: list, fn: int, Gq, q: int, rr: int, t: int):
+    """num -= fn/c^{Md-t} * (c^q f^q) x^rr / c^q, all over the fixed denominators."""
+    for j, gcj in enumerate(Gq.coeffs):
+        if not gcj:
+            continue
+        s = j + rr
+        e = t - s - q
+        if e >= 0:
+            num[s] -= fn * gcj * cpow[e]
+        else:
+            quot, rem = divmod(gcj, cpow[-e])
+            assert rem == 0
+            num[s] -= fn * quot
+
+
+def _reference_reconstruction_residual(f: RatPoly, M: int, p: IntPoly, ledger) -> RatPoly:
+    """f^M - p - sum {a_i} f^{q_i} x^{r_i}; exact zero for a faithful ledger."""
+    d = f.degree
+    num, cpow, (g, c) = _reference_scaled_greedy_state(f, M)
+    Md = M * d
+    for i, pc in enumerate(p.coeffs):
+        num[i] -= pc * cpow[Md - i]
+    q_cur = None
+    Gq = None
+    for q, rr, frac in ledger:
+        if frac == 0:
+            continue
+        if q_cur is None or q > q_cur:
+            Gq = g ** q
+            q_cur = q
+        while q_cur > q:
+            Gq = _reference_int_poly_div_exact(Gq, g)
+            q_cur -= 1
+        t = d * q + rr
+        D_t = cpow[Md - t]
+        fn = frac.numerator * (D_t // frac.denominator)  # frac over the fixed scale
+        _reference_scaled_subtract(num, cpow, fn, Gq, q, rr, t)
+    return RatPoly(
+        [Fraction(n, cpow[Md - t]) for t, n in enumerate(num)]
+    )
+
+
+def _assert_matches_reference_greedy(f: RatPoly, M: int, N: int):
+    p, ledger = clear_fractional_parts(f, M, N, want_ledger=True)
+    want_p, want_ledger = _reference_clear_fractional_parts(f, M, N, want_ledger=True)
+    assert p == want_p
+    assert ledger == want_ledger
+    assert reconstruction_residual(f, M, p, ledger) == _reference_reconstruction_residual(f, M, p, ledger)
+    # a corrupted ledger leaves the same nonzero residual in both
+    if ledger:
+        q, rr, frac = ledger[-1]
+        bad = ledger[:-1] + [(q, rr, frac + 1)]
+        got = reconstruction_residual(f, M, p, bad)
+        assert not got.is_zero
+        assert got == _reference_reconstruction_residual(f, M, p, bad)
+
+
 class TestGreedy:
     def test_micro_oracle(self):
         # f = x^2 - 1/2, M = 2, N = 1: f^2 = x^4 - x^2 + 1/4, only the
@@ -233,8 +377,6 @@ class TestGreedy:
         f = RatPoly(list(low) + [1])
         d = f.degree
         # find a small verified M
-        from arithcap.integerize import minimal_integerizing_exponent
-
         try:
             M = minimal_integerizing_exponent(f, N, cap=256).M
         except NotFound:
@@ -242,6 +384,31 @@ class TestGreedy:
         p, ledger = clear_fractional_parts(f, M, N, want_ledger=True)
         assert p.is_monic and p.degree == M * d
         assert reconstruction_residual(f, M, p, ledger).is_zero
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_reference_random(self, low, N):
+        f = RatPoly(list(low) + [1])
+        try:
+            M = minimal_integerizing_exponent(f, N, cap=256).M
+        except NotFound:
+            return
+        _assert_matches_reference_greedy(f, M, N)
+
+    @pytest.mark.parametrize(
+        "f, M, N",
+        [
+            (P(F(1, 4), -1, 1), 8, 2),  # (x - 1/2)^2
+            (P(1, 2, 0, 1), 9, 6),  # the d = 3 case of test_q_pattern
+            (P(F(-1, 6), F(1, 3), F(1, 2), 1), 24, 2),  # three denominators, c = 6
+        ],
+    )
+    def test_matches_reference_fixed(self, f, M, N):
+        assert verify_top_integrality(f, M, N)
+        _assert_matches_reference_greedy(f, M, N)
 
 
 class TestChooseParameters:

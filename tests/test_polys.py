@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from arithcap.errors import NonzeroRemainder, NotMonic, PolyParseError
 from arithcap.parsing import parse_polynomial, poly_to_string
-from arithcap.polys import IntPoly, RatPoly, poly_div_exact, poly_pow, reverse_unit_poly
+from arithcap.polys import (
+    IntPoly,
+    RatPoly,
+    int_poly_div_exact,
+    poly_div_exact,
+    poly_pow,
+    reverse_unit_poly,
+)
 from arithcap.series import TruncSeries
 
 F = Fraction
@@ -21,6 +28,8 @@ small_rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
 rat_polys = st.lists(small_rationals, min_size=0, max_size=6).map(RatPoly)
+small_ints = st.integers(min_value=-(2**70), max_value=2**70)
+int_polys = st.lists(small_ints, min_size=0, max_size=6).map(IntPoly)
 
 
 class TestRatPolyBasics:
@@ -172,6 +181,35 @@ class TestDivExact:
     def test_round_trip(self, f, g_low):
         g = RatPoly(list(g_low) + [1])  # force monic
         assert poly_div_exact(f * g, g) == f
+
+
+class TestIntDivExact:
+    @settings(max_examples=200, deadline=None)
+    @given(int_polys, st.lists(small_ints, min_size=0, max_size=4))
+    def test_round_trip(self, f, g_low):
+        g = IntPoly(list(g_low) + [1])  # force monic
+        assert int_poly_div_exact(f * g, g) == f
+
+    def test_non_monic_divisor_raises(self):
+        # 2x + 2 divides 2x^2 - 2 exactly over Z, but only monic divisors are taken
+        with pytest.raises(NotMonic):
+            int_poly_div_exact(IntPoly([-2, 0, 2]), IntPoly([2, 2]))
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(NotMonic):
+            int_poly_div_exact(IntPoly([1, 1]), IntPoly())
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (IntPoly([1, 0, 1]), IntPoly([-1, 1])),  # x^2 + 1 = (x - 1)(x + 1) + 2
+            (IntPoly([3]), IntPoly([1, 1])),  # degree below the divisor's
+            (IntPoly([1, 2, 3, 1]), IntPoly([1, 1, 1])),
+        ],
+    )
+    def test_inexact_raises(self, f, g):
+        with pytest.raises(NonzeroRemainder):
+            int_poly_div_exact(f, g)
 
 
 class TestReverseUnitPoly:
