@@ -17,7 +17,7 @@ import numpy as np
 from .curves import DomainSpec
 from .errors import AllCoefficientsBelowTolerance, ConstantMap
 from .greens import GreenSolution
-from .polys import IntPoly, RatPoly
+from .polys import IntPoly, RatPoly, horner
 
 
 class AnalyticMap:
@@ -49,18 +49,10 @@ class PolyMap(AnalyticMap):
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for c in reversed(self.coeffs):
-            out = out * z + c
-        return out
+        return horner(self.coeffs, np.asarray(z, dtype=complex))
 
     def deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for i in range(self.degree, 0, -1):
-            out = out * z + i * self.coeffs[i]
-        return out
+        return horner(_derivative(self.coeffs), np.asarray(z, dtype=complex))
 
     def shifted_power(self, center: complex, e: int) -> "PolyMap":
         """(p(z))^e as a PolyMap (helper for jet consistency checks)."""
@@ -96,18 +88,14 @@ class SeriesMap(AnalyticMap):
         w = z - self.center
         if np.any(np.abs(w) > self.radius * (1 + 1e-12)):
             raise ValueError("evaluation outside the series radius")
-        out = np.zeros(z.shape, dtype=complex)
-        for c in reversed(self.coeffs):
-            out = out * w + c
-        return out
+        return horner(self.coeffs, w)
 
     def deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        w = z - self.center
-        out = np.zeros(z.shape, dtype=complex)
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            out = out * w + i * self.coeffs[i]
-        return out
+        return horner(_derivative(self.coeffs), np.asarray(z, dtype=complex) - self.center)
+
+
+def _derivative(coeffs: Sequence[complex]) -> list[complex]:
+    return [i * c for i, c in enumerate(coeffs)][1:]
 
 
 @dataclass(frozen=True)

@@ -330,12 +330,12 @@ def _cmd_family(cfg: ExperimentConfig):
             SeedSequence(rng.integers(-bound, bound + 1, length).tolist(), bound)
             for _ in range(count)
         ]
-    report = distinctness_check(p, seeds, order)
+    members = [family_member(p, s, order) for s in seeds]
+    report = distinctness_check(members)
     return {
         "q_inverse": _series_json(q_inverse_series(p, order)),
         "members": [
-            {"seed": list(s.values), **_series_json(family_member(p, s, order))}
-            for s in seeds
+            {"seed": list(s.values), **_series_json(u)} for s, u in zip(seeds, members)
         ],
         "distinct": report.distinct,
         "collision": list(report.collision) if report.collision else None,
@@ -481,25 +481,31 @@ _INPUT_KEYS = (
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """Merge a --config file under the flags; a malformed file is a ValueError."""
     base = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             base = json.loads(fh.read())
-    inputs = dict(base.get("inputs", {}))
-    for key in _INPUT_KEYS:
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            inputs[key] = val
-    return ExperimentConfig(
-        command=args.command,
-        inputs=inputs,
-        tolerances=dict(base.get("tolerances", {})),
-        resolution=args.resolution or base.get("resolution", 256),
-        grid=getattr(args, "grid", None) or base.get("grid", 48),
-        degree_cap=getattr(args, "degree_cap", None) or base.get("degree_cap", 8192),
-        out=args.out or base.get("out"),
-        seed=args.seed if args.seed is not None else base.get("seed", 0),
-    )
+    if not isinstance(base, dict):
+        raise ValueError("--config must hold a JSON object")
+    try:
+        inputs = dict(base.get("inputs", {}))
+        for key in _INPUT_KEYS:
+            val = getattr(args, key, None)
+            if val is not None and val is not False:
+                inputs[key] = val
+        return ExperimentConfig(
+            command=args.command,
+            inputs=inputs,
+            tolerances=dict(base.get("tolerances", {})),
+            resolution=args.resolution or base.get("resolution", 256),
+            grid=getattr(args, "grid", None) or base.get("grid", 48),
+            degree_cap=getattr(args, "degree_cap", None) or base.get("degree_cap", 8192),
+            out=args.out or base.get("out"),
+            seed=args.seed if args.seed is not None else base.get("seed", 0),
+        )
+    except TypeError as exc:  # e.g. "inputs": 5, or a non-numeric resolution
+        raise ValueError(f"malformed --config: {exc}") from exc
 
 
 def main(argv=None) -> int:

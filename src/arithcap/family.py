@@ -6,6 +6,16 @@ X^m Z[[X]], so 1/q(X)^n starts at X^{mn} and any bounded integer seed
 sequence (a_n) yields a well-defined integer series sum a_n / q(X)^n.  Seeds
 differing at index n produce series differing at order <= mn, which is how a
 continuum of distinct members is witnessed at finite truncation order.
+
+A member is built in O(order^2) coefficient products.  With R = X^m p(1/X)
+and N = min(len(seed), floor(order/m)), the sum is H / R^N for
+
+    H = sum_{n=1}^N a_n X^{mn} R^{N-n},
+
+so the integer Horner step H <- H R + a_n X^{mn} builds H in N products by
+the m + 1 coefficients of R, each O(order m), and one truncated product of
+H by the unit series 1/R^N finishes the member.  Computing R^N (Miller's
+recurrence), its reciprocal and that last product each cost O(order^2).
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 from .analytic import AnalyticMap
 from .curves import DomainSpec
 from .errors import NonzeroConstantTerm, NotMonic, SampleSingularity
-from .polys import IntPoly, reverse_unit_poly
+from .polys import IntPoly, horner, mul_coeffs, pow_coeffs, reverse_unit_poly
 from .series import TruncSeries, series_compose, series_reciprocal
 
 
@@ -53,32 +63,29 @@ class SeedSequence:
 
 def q_inverse_series(p: IntPoly, order: int) -> TruncSeries:
     """1/q(X) = X^m * (X^m p(1/X))^{-1} truncated at the given order; integer
-    coefficients with lowest term exactly X^m."""
-    if not p.is_monic:
-        raise NotMonic("p must be monic")
-    m = p.degree
-    rev = reverse_unit_poly(p)  # constant term 1
-    if m > order:
-        return TruncSeries([], order)
-    recip = series_reciprocal(TruncSeries(rev.coeffs[: order - m + 1], order - m), order - m)
-    return TruncSeries((0,) * m + recip.coeffs, order)
+    coefficients with lowest term exactly X^m.  It is the member of seed (1)."""
+    return family_member(p, SeedSequence([1]), order)
 
 
 def family_member(p: IntPoly, seed: SeedSequence, order: int) -> TruncSeries:
-    """sum_n a_n (1/q)^n truncated; only terms with m n <= order contribute."""
+    """sum_n a_n (1/q)^n truncated; only terms with m n <= order contribute.
+
+    Computed as H / R^N (see the module docstring), exactly."""
     if not p.is_monic:
         raise NotMonic("p must be monic")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     m = p.degree
-    u = q_inverse_series(p, order)
-    acc = TruncSeries([], order)
-    power = TruncSeries.one(order)
-    for n, a in enumerate(seed.values, start=1):
-        if m * n > order:
-            break
-        power = power * u
+    R = reverse_unit_poly(p).coeffs
+    N = len(seed.values) if m == 0 else min(len(seed.values), order // m)
+    H: list[int] = []
+    for n, a in enumerate(seed.values[:N], start=1):
+        H = mul_coeffs(H, R, order)
         if a:
-            acc = acc + a * power
-    return acc
+            H += [0] * (m * n + 1 - len(H))
+            H[m * n] += a
+    inv = series_reciprocal(TruncSeries(pow_coeffs(R, N, order), order))
+    return TruncSeries(mul_coeffs(H, inv.coeffs, order), order)
 
 
 def compose_with_f(g: TruncSeries, f: TruncSeries, order: int | None = None) -> TruncSeries:
@@ -94,18 +101,16 @@ class DistinctnessReport:
     collision: tuple[int, int] | None  # indices of the first colliding pair
 
 
-def distinctness_check(
-    p: IntPoly, seeds: Sequence[SeedSequence], order: int
-) -> DistinctnessReport:
-    """Pairwise distinctness of the truncated family members.
+def distinctness_check(members: Sequence[TruncSeries]) -> DistinctnessReport:
+    """Pairwise distinctness of truncated family members.
 
     Seeds differing within the first floor(order/m) entries always separate
     (the difference first shows at X^{mn} for the first differing index n);
     seeds agreeing there may collide at this truncation order.
     """
-    members = [family_member(p, s, order).coeffs for s in seeds]
     seen: dict[tuple, int] = {}
-    for i, c in enumerate(members):
+    for i, member in enumerate(members):
+        c = member.coeffs
         if c in seen:
             return DistinctnessReport(distinct=False, collision=(seen[c], i))
         seen[c] = i
@@ -145,16 +150,10 @@ def tail_bound_check(
     bad = np.abs(pv) < 1e-14 * (1 + np.max(np.abs(pv)))
     if np.any(bad & (np.abs(pts - O) > 1e-12 * (1 + abs(O)))):
         raise SampleSingularity("phi vanishes at a sample away from the center")
-    qv = np.abs(_poly_at(p, 1.0 / np.where(bad, 1.0, pv)))
+    qv = np.abs(horner(p.coeffs, 1.0 / np.where(bad, 1.0, pv)))
     with np.errstate(divide="ignore"):
         vals = np.where(bad, 0.0, np.where(qv > 0, 1.0 / np.where(qv > 0, qv, 1.0), np.inf))
     i = int(np.argmax(vals))
     delta = float(vals[i])
     return TailBound(delta=delta, geometric_ok=delta < 1.0, argmax=complex(pts[i]))
 
-
-def _poly_at(p: IntPoly, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z, dtype=complex)
-    for c in reversed(p.coeffs):
-        out = out * z + c
-    return out

@@ -396,7 +396,8 @@ def _scaled_subtract(num: list, fn: int, Fq: IntPoly, rr: int):
 
 
 def reconstruction_residual(f: RatPoly, M: int, p: IntPoly, ledger) -> RatPoly:
-    """f^M - p - sum {a_i} f^{q_i} x^{r_i}; exact zero for a faithful ledger."""
+    """f^M - p - sum {a_i} f^{q_i} x^{r_i}; exact zero for a faithful ledger.
+    An entry whose denominator does not divide c^{Md-t} raises."""
     d = f.degree
     num, cpow, F = _scaled_greedy_state(f, M)
     Md = M * d
@@ -415,8 +416,10 @@ def reconstruction_residual(f: RatPoly, M: int, p: IntPoly, ledger) -> RatPoly:
             q_cur -= 1
         t = d * q + rr
         D_t = cpow[Md - t]
-        fn = frac.numerator * (D_t // frac.denominator)  # frac over the fixed scale
-        _scaled_subtract(num, fn, Fq, rr)
+        scale, rem = divmod(D_t, frac.denominator)  # frac over the fixed scale
+        if rem:
+            raise CertificateCheckFailed(f"ledger entry {frac} at t = {t} is off the scale")
+        _scaled_subtract(num, frac.numerator * scale, Fq, rr)
     return RatPoly(
         [Fraction(n, cpow[Md - t]) for t, n in enumerate(num)]
     )

@@ -5,14 +5,21 @@ of x^i, with trailing zeros stripped (the zero polynomial stores no
 coefficients).  Rational values are `fractions.Fraction`, normalized to plain
 `int` whenever the denominator is 1, so "lives in Z[x]" is simply "every
 stored coefficient is an int".
+
+Each exact operation is written once, on coefficient sequences, and the
+polynomial and series types are thin wrappers over it: `add_coeffs`,
+`mul_coeffs` (truncated when given an order), `pow_coeffs` (Miller's
+recurrence), `div_exact_coeffs` (monic divisor) and `horner` (evaluation at an
+exact, float, complex or numpy point).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import NonzeroRemainder, NotMonic
 
@@ -86,13 +93,7 @@ class RatPoly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = _norm_scalar(out[i] + c)
-        return RatPoly(out)
+        return RatPoly(add_coeffs(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "RatPoly":
         return RatPoly([-c for c in self.coeffs])
@@ -103,16 +104,7 @@ class RatPoly:
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
             return RatPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RatPoly(out)
+        return RatPoly(mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -121,10 +113,7 @@ class RatPoly:
 
     def __call__(self, x):
         """Horner evaluation; works for int, Fraction, float and complex values."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -185,13 +174,7 @@ class IntPoly:
         return RatPoly(self.coeffs)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly(add_coeffs(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "IntPoly":
         return IntPoly([-c for c in self.coeffs])
@@ -202,15 +185,7 @@ class IntPoly:
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
+        return IntPoly(mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -218,10 +193,7 @@ class IntPoly:
         return IntPoly(pow_coeffs(self.coeffs, n))
 
     def __call__(self, x):
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def __repr__(self):
         from .parsing import poly_to_string
@@ -230,6 +202,39 @@ class IntPoly:
 
 
 # --- module-level operations ----------------------------------------------------
+
+
+def add_coeffs(a: Sequence, b: Sequence) -> list:
+    """Coefficients of a(x) + b(x); the result has the longer length."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def mul_coeffs(a: Sequence, b: Sequence, order: int | None = None) -> list:
+    """Coefficients of a(x) b(x), or of a(x) b(x) mod x^(order+1) when order is
+    given: len(a) + len(b) - 1 entries, at most order + 1, none for an empty
+    factor.  Zero coefficients are skipped: a Fraction times 0 is not free."""
+    n = len(a) + len(b) - 1 if len(a) and len(b) else 0
+    if order is not None:
+        n = max(min(n, order + 1), 0)
+    out = [0] * n
+    for i, ca in enumerate(a[:n]):
+        if ca:
+            for j, cb in enumerate(b[: n - i]):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
+
+
+def horner(coeffs: Sequence, x):
+    """sum coeffs[i] x^i by Horner's rule, for an int, Fraction, float,
+    complex or numpy-array x; a zero of x's type for no coefficients.
+
+    The first step is 0 * x + c, so on a numpy array the result equals a
+    Horner loop started from a zero array bit for bit, signed zeros too."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc if len(coeffs) else 0 * x + 0
 
 
 def pow_coeffs(a: tuple, n: int, order: int | None = None) -> list:

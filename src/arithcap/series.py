@@ -17,7 +17,7 @@ from .errors import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
 )
-from .polys import RatPoly, _norm_scalar, pow_coeffs
+from .polys import RatPoly, _norm_scalar, add_coeffs, horner, mul_coeffs, pow_coeffs
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,13 @@ class TruncSeries:
         return TruncSeries(self.coeffs[: order + 1], order)
 
     def __call__(self, x):
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         d = min(self.order, other.order)
-        return TruncSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(d + 1)], d
-        )
+        return TruncSeries(add_coeffs(self.coeffs[: d + 1], other.coeffs[: d + 1]), d)
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries([-c for c in self.coeffs], self.order)
@@ -97,15 +92,7 @@ class TruncSeries:
         if isinstance(other, (int, Fraction)):
             return TruncSeries([c * other for c in self.coeffs], self.order)
         d = min(self.order, other.order)
-        out = [0] * (d + 1)
-        for i, ca in enumerate(self.coeffs[: d + 1]):
-            if ca == 0:
-                continue
-            for j in range(d + 1 - i):
-                cb = other.coeffs[j]
-                if cb != 0:
-                    out[i + j] += ca * cb
-        return TruncSeries(out, d)
+        return TruncSeries(mul_coeffs(self.coeffs, other.coeffs, d), d)
 
     __rmul__ = __mul__
 
@@ -159,11 +146,12 @@ def series_compose(g: TruncSeries, f: TruncSeries, order: int | None = None) -> 
     d = min(g.order, f.order) if order is None else order
     if d > min(g.order, f.order):
         raise ValueError("requested order exceeds stored orders")
-    ft = f.truncate(d)
-    acc = TruncSeries([], d)
+    fd = f.coeffs[: d + 1]
+    acc = [0] * (d + 1)
     for c in reversed(g.coeffs[: d + 1]):
-        acc = acc * ft + TruncSeries([c], d)
-    return acc
+        acc = mul_coeffs(acc, fd, d)
+        acc[0] += c
+    return TruncSeries(acc, d)
 
 
 def series_comp_inverse(

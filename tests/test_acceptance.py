@@ -190,11 +190,12 @@ def test_criterion_12_family():
         for n in range(1, 65):
             assert u.coeff(n) == 2 ** (n - 1)
         seeds = [SeedSequence([(i >> b) & 1 for b in range(8)], 1) for i in range(32)]
-        rep = distinctness_check(p, seeds, 8)
-        assert rep.distinct
         from arithcap.family import family_member
 
-        assert all(family_member(p, s, 8).is_integral for s in seeds)
+        members = [family_member(p, s, 8) for s in seeds]
+        rep = distinctness_check(members)
+        assert rep.distinct
+        assert all(u.is_integral for u in members)
         dom = circle_domain(0.3)
         tb = tail_bound_check(p, PolyMap([0, 1]), dom)
         assert tb.geometric_ok and tb.delta <= 0.75 + 1e-12

@@ -111,9 +111,17 @@ class TestCommands:
             ["capacity", "--domain", "ellipse(1)"],
             ["capacity", "--domain", "circle(-1)"],
             ["measure", "--domain", "circle(2.0)", "--nodes", "0"],
+            # the value after --config is the file's content, written below
+            ["capacity", "--domain", "circle(1.0)", "--config", "[1, 2]"],
+            ["capacity", "--domain", "circle(1.0)", "--config", '{"inputs": 5}'],
         ],
     )
-    def test_bad_input_usage_error(self, capsys, args):
+    def test_bad_input_usage_error(self, capsys, tmp_path, args):
+        if "--config" in args:
+            i = args.index("--config") + 1
+            path = tmp_path / "cfg.json"
+            path.write_text(args[i])
+            args = [*args[:i], str(path), *args[i + 1:]]
         code, out = run_cli(args, capsys)
         assert code == 2
         rec = json.loads(out)

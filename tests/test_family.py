@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithcap.analytic import PolyMap
+from arithcap.cli import main
 from arithcap.curves import circle_domain
 from arithcap.errors import NotMonic, NonzeroConstantTerm
 from arithcap.family import (
@@ -14,8 +17,8 @@ from arithcap.family import (
     q_inverse_series,
     tail_bound_check,
 )
-from arithcap.polys import IntPoly
-from arithcap.series import TruncSeries
+from arithcap.polys import IntPoly, reverse_unit_poly
+from arithcap.series import TruncSeries, series_reciprocal
 
 P_LIN = IntPoly([-2, 1])      # X - 2
 P_QUAD = IntPoly([1, -3, 1])  # X^2 - 3X + 1
@@ -83,6 +86,77 @@ class TestFamilyMember:
         assert lhs == rhs
 
 
+def _reference_q_inverse_series(p, order):
+    if not p.is_monic:
+        raise NotMonic("p must be monic")
+    m = p.degree
+    rev = reverse_unit_poly(p)  # constant term 1
+    if m > order:
+        return TruncSeries([], order)
+    recip = series_reciprocal(TruncSeries(rev.coeffs[: order - m + 1], order - m), order - m)
+    return TruncSeries((0,) * m + recip.coeffs, order)
+
+
+def _reference_family_member(p, seed, order):
+    """The power-by-power loop before the integer Horner construction."""
+    if not p.is_monic:
+        raise NotMonic("p must be monic")
+    m = p.degree
+    u = _reference_q_inverse_series(p, order)
+    acc = TruncSeries([], order)
+    power = TruncSeries.one(order)
+    for n, a in enumerate(seed.values, start=1):
+        if m * n > order:
+            break
+        power = power * u
+        if a:
+            acc = acc + a * power
+    return acc
+
+
+class TestFamilyOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.lists(st.integers(min_value=-4, max_value=4), max_size=3),
+        st.lists(st.integers(min_value=-3, max_value=3), max_size=14),
+        st.integers(min_value=0, max_value=20),
+    )
+    def test_matches_reference(self, m, low, seed_vals, order):
+        # low[0] = 0 makes R = X^m p(1/X) end in 0; seeds run longer and
+        # shorter than floor(order / m), and order may fall below m
+        p = IntPoly(low[:m] + [0] * (m - len(low[:m])) + [1])
+        seed = SeedSequence(seed_vals)
+        assert family_member(p, seed, order) == _reference_family_member(p, seed, order)
+        assert q_inverse_series(p, order) == _reference_q_inverse_series(p, order)
+
+    def test_constant_p(self):
+        p = IntPoly([1])  # m = 0: 1/q = 1, every seed entry counts
+        for order in (0, 3):
+            seed = SeedSequence([2, -1, 3])
+            assert family_member(p, seed, order) == _reference_family_member(p, seed, order)
+            assert q_inverse_series(p, order) == _reference_q_inverse_series(p, order)
+
+    def test_not_monic_and_negative_order(self):
+        with pytest.raises(NotMonic):
+            family_member(IntPoly([1, 2]), SeedSequence([1]), 4)
+        for order in (-1, -5):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                family_member(P_QUAD, SeedSequence([1, 1, 1, 1, 1]), order)
+
+    def test_cli_order_512_artifact(self, tmp_path):
+        # SHA-256 of the artifact written by the power-by-power loop
+        out = tmp_path / "family.json"
+        code = main(
+            ["family", "--p", "X^2 - 3*X + 1", "--order", "512", "--count", "8",
+             "--random-seed", "1", "--out", str(out)]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "61e13a9d7f3cd70c6a36a28f3f8fb80237eaa0bd8081345d6300da671292ace5"
+        )
+
+
 class TestSeeds:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -93,19 +167,23 @@ class TestSeeds:
         assert s.values == (1, 0, 1, 0)
 
 
+def _members(p, seeds, order):
+    return [family_member(p, s, order) for s in seeds]
+
+
 class TestDistinctness:
     def test_leading_order_separation(self):
-        rep = distinctness_check(P_LIN, [SeedSequence([1, 0]), SeedSequence([0, 1])], 4)
+        rep = distinctness_check(_members(P_LIN, [SeedSequence([1, 0]), SeedSequence([0, 1])], 4))
         assert rep.distinct
 
     def test_32_binary_seeds(self):
         seeds = [SeedSequence([(i >> b) & 1 for b in range(8)], 1) for i in range(32)]
-        rep = distinctness_check(P_LIN, seeds, 8 * P_LIN.degree)
+        rep = distinctness_check(_members(P_LIN, seeds, 8 * P_LIN.degree))
         assert rep.distinct and rep.collision is None
 
     def test_identical_seeds_collide(self):
         s = SeedSequence([1, 2, 1])
-        rep = distinctness_check(P_LIN, [s, SeedSequence([1, 2, 1])], 8)
+        rep = distinctness_check(_members(P_LIN, [s, SeedSequence([1, 2, 1])], 8))
         assert not rep.distinct
         assert rep.collision == (0, 1)
 
@@ -119,7 +197,7 @@ class TestDistinctness:
         b = data.draw(st.lists(st.integers(-2, 2), min_size=horizon, max_size=horizon))
         if a == b:
             return
-        rep = distinctness_check(P_QUAD, [SeedSequence(a), SeedSequence(b)], D)
+        rep = distinctness_check(_members(P_QUAD, [SeedSequence(a), SeedSequence(b)], D))
         assert rep.distinct
 
 

@@ -372,6 +372,69 @@ class TestJets:
         assert abs(jet_cap_norm(jet2, disk_sol) - 2 * math.log(RHO)) < 1e-9
 
 
+# The float Horner loops before the coefficient kernel, copied as oracles.
+
+
+def _reference_polymap_call(f, z):
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape, dtype=complex)
+    for c in reversed(f.coeffs):
+        out = out * z + c
+    return out
+
+
+def _reference_polymap_deriv(f, z):
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape, dtype=complex)
+    for i in range(f.degree, 0, -1):
+        out = out * z + i * f.coeffs[i]
+    return out
+
+
+def _reference_seriesmap_call(f, z):
+    w = np.asarray(z, dtype=complex) - f.center
+    out = np.zeros(w.shape, dtype=complex)
+    for c in reversed(f.coeffs):
+        out = out * w + c
+    return out
+
+
+def _reference_seriesmap_deriv(f, z):
+    w = np.asarray(z, dtype=complex) - f.center
+    out = np.zeros(w.shape, dtype=complex)
+    for i in range(len(f.coeffs) - 1, 0, -1):
+        out = out * w + i * f.coeffs[i]
+    return out
+
+
+_float_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4, 4))
+_complex_coeffs = st.lists(st.builds(complex, _float_parts, _float_parts), max_size=6)
+
+
+class TestFloatHornerOracle:
+    """Map evaluation through the kernel is bit-identical to the old loops,
+    signed zeros included; both overflow routes rest on it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_complex_coeffs, st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bits(self, coeffs, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        z[0, :3] = [0.0, -0.0 + 1j, complex(-1.0, -0.0)]
+        f = PolyMap(coeffs)
+        g = SeriesMap(coeffs + [0j], center=0.25 - 0.5j, radius=10.0)
+        pairs = [
+            (f(z), _reference_polymap_call(f, z)),
+            (f.deriv(z), _reference_polymap_deriv(f, z)),
+            (g(z), _reference_seriesmap_call(g, z)),
+            (g.deriv(z), _reference_seriesmap_deriv(g, z)),
+        ]
+        if coeffs:
+            pairs.append((f(z[1, 2]), _reference_polymap_call(f, z[1, 2])))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestPreimages:
     def test_simple_pair(self):
         out = preimages(PolyMap([-0.25, 0, 1]), 0.0, DISK)

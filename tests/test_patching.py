@@ -348,6 +348,19 @@ class TestGreedy:
         p, ledger = clear_fractional_parts(f, M, N, want_ledger=True)
         assert reconstruction_residual(f, M, p, ledger).is_zero
 
+    def test_off_scale_ledger_entry_rejected(self):
+        # integral f has c = 1, so every ledger entry must be an integer; an
+        # entry changed from 0 to 1/2 used to floor to 0 and read as a zero
+        # residual
+        f = P(1, 2, 0, 1)
+        M, N = 9, 6
+        p, ledger = clear_fractional_parts(f, M, N, want_ledger=True)
+        assert all(frac == 0 for _, _, frac in ledger)
+        q, rr, _ = ledger[0]
+        bad = [(q, rr, F(1, 2))] + ledger[1:]
+        with pytest.raises(CertificateCheckFailed, match="off the scale"):
+            reconstruction_residual(f, M, p, bad)
+
     def test_q_pattern(self):
         # Targets run over t = 0..Md-N; floor(t/d) hits the top value once,
         # every other value (including 0) exactly d times.  The ledger records

@@ -10,7 +10,11 @@ from arithcap.parsing import parse_polynomial, poly_to_string
 from arithcap.polys import (
     IntPoly,
     RatPoly,
+    _norm_scalar,
+    add_coeffs,
+    horner,
     int_poly_div_exact,
+    mul_coeffs,
     poly_div_exact,
     poly_pow,
     reverse_unit_poly,
@@ -162,6 +166,111 @@ class TestRingLaws:
         assert (f + g) + h == f + (g + h)
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+
+# The ring operations before the coefficient kernel, copied as oracles.
+
+
+def _reference_rat_add(self, other):
+    a, b = self.coeffs, other.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = _norm_scalar(out[i] + c)
+    return RatPoly(out)
+
+
+def _reference_rat_mul(self, other):
+    if isinstance(other, (int, Fraction)):
+        return RatPoly([c * other for c in self.coeffs])
+    a, b = self.coeffs, other.coeffs
+    if not a or not b:
+        return RatPoly()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return RatPoly(out)
+
+
+def _reference_int_add(self, other):
+    a, b = self.coeffs, other.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return IntPoly(out)
+
+
+def _reference_int_mul(self, other):
+    if isinstance(other, int):
+        return IntPoly([c * other for c in self.coeffs])
+    a, b = self.coeffs, other.coeffs
+    if not a or not b:
+        return IntPoly()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return IntPoly(out)
+
+
+def _reference_call(self, x):
+    """The Horner body shared by RatPoly, IntPoly and TruncSeries."""
+    acc = 0 * x
+    for c in reversed(self.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# exact, float and complex points; no inf or nan, where == says nothing
+eval_points = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    small_rationals,
+    st.floats(min_value=-3, max_value=3),
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestKernelOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(int_coeff_lists, int_coeff_lists)
+    def test_int_poly(self, a, b):
+        f, g = IntPoly(a), IntPoly(b)
+        assert (f * g).coeffs == _reference_int_mul(f, g).coeffs
+        assert (f + g).coeffs == _reference_int_add(f, g).coeffs
+        assert (f - g).coeffs == _reference_int_add(f, -g).coeffs
+
+    @settings(max_examples=200, deadline=None)
+    @given(rat_coeff_lists, rat_coeff_lists)
+    def test_rat_poly(self, a, b):
+        f, g = RatPoly(a), RatPoly(b)
+        for got, want in ((f * g, _reference_rat_mul(f, g)), (f + g, _reference_rat_add(f, g))):
+            assert got.coeffs == want.coeffs
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(int_coeff_lists, rat_coeff_lists), eval_points)
+    def test_call(self, coeffs, x):
+        f = RatPoly(coeffs)
+        want = _reference_call(f, x)
+        assert f(x) == want and type(f(x)) is type(want)
+        if f.is_integral:
+            assert f.to_int_poly()(x) == want
+
+    def test_kernel_lengths(self):
+        assert mul_coeffs([], [1, 2]) == [] and mul_coeffs([1, 2], []) == []
+        assert mul_coeffs([1, 1], [1, 1]) == [1, 2, 1]
+        assert mul_coeffs([1, 1], [1, 1], 1) == [1, 2]
+        assert mul_coeffs([1, 1], [1, 1], 5) == [1, 2, 1]
+        assert mul_coeffs([0, 0, 1], [1, 1], 1) == [0, 0]
+        assert add_coeffs([1], [0, 0, 3]) == [1, 0, 3]
+        assert horner([], 2.0) == 0.0 and horner([1, 2, 3], F(1, 2)) == F(11, 4)
 
 
 class TestDivExact:

@@ -118,6 +118,82 @@ class TestCompose:
             series_compose(S([1, 1], 3), S([1, 1], 3))
 
 
+# The series operations before the coefficient kernel, copied as oracles.
+
+
+def _reference_add(self, other):
+    d = min(self.order, other.order)
+    return TruncSeries([self.coeffs[i] + other.coeffs[i] for i in range(d + 1)], d)
+
+
+def _reference_mul(self, other):
+    if isinstance(other, (int, Fraction)):
+        return TruncSeries([c * other for c in self.coeffs], self.order)
+    d = min(self.order, other.order)
+    out = [0] * (d + 1)
+    for i, ca in enumerate(self.coeffs[: d + 1]):
+        if ca == 0:
+            continue
+        for j in range(d + 1 - i):
+            cb = other.coeffs[j]
+            if cb != 0:
+                out[i + j] += ca * cb
+    return TruncSeries(out, d)
+
+
+def _reference_call(self, x):
+    acc = 0 * x
+    for c in reversed(self.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _reference_compose(g, f, order=None):
+    d = min(g.order, f.order) if order is None else order
+    ft = f.truncate(d)
+    acc = TruncSeries([], d)
+    for c in reversed(g.coeffs[: d + 1]):
+        acc = _reference_add(_reference_mul(acc, ft), TruncSeries([c], d))
+    return acc
+
+
+@st.composite
+def series_pair(draw):
+    """Two series of independent orders whose coefficient lists may run past
+    the smaller order; constant terms 0 and +-1 come up often."""
+    coeff = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-9, 9), small_rationals)
+    out = []
+    for _ in range(2):
+        order = draw(st.integers(min_value=0, max_value=10))
+        out.append(TruncSeries(draw(st.lists(coeff, max_size=order + 1)), order))
+    return out
+
+
+class TestKernelOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(series_pair())
+    def test_mul_add(self, pair):
+        a, b = pair
+        assert a * b == _reference_mul(a, b)
+        assert a + b == _reference_add(a, b)
+        assert a - b == _reference_add(a, -b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_pair(), st.one_of(small_rationals, st.floats(-2, 2), st.integers(-4, 4)))
+    def test_call(self, pair, x):
+        a = pair[0]
+        assert a(x) == _reference_call(a, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_pair(), st.integers(min_value=0, max_value=10))
+    def test_compose(self, pair, order):
+        g, f = pair
+        f = TruncSeries((0,) + f.coeffs[1:], f.order)
+        order = min(order, g.order, f.order)
+        assert series_compose(g, f) == _reference_compose(g, f)
+        assert series_compose(g, f, order) == _reference_compose(g, f, order)
+
+
 class TestCompInverse:
     def test_identity(self):
         h = series_comp_inverse(TruncSeries.identity(6))
