@@ -54,7 +54,7 @@ class PolyMap(AnalyticMap):
     def deriv(self, z):
         return horner(_derivative(self.coeffs), np.asarray(z, dtype=complex))
 
-    def shifted_power(self, center: complex, e: int) -> "PolyMap":
+    def shifted_power(self, e: int) -> "PolyMap":
         """(p(z))^e as a PolyMap (helper for jet consistency checks)."""
         out = np.array([1.0 + 0j])
         base = np.array(self.coeffs, dtype=complex)

@@ -127,6 +127,26 @@ def parse_map(text: str) -> PolyMap:
     return PolyMap([complex(c.replace(" ", "")) for c in text.split(",")])
 
 
+def _json_list(spec, what: str) -> list:
+    """Inline JSON or the path of a .json file, holding a list; a list already
+    parsed from a --config file passes through."""
+    if isinstance(spec, str) and spec.endswith(".json"):
+        with open(spec) as fh:
+            spec = json.load(fh)
+    elif isinstance(spec, str):
+        spec = json.loads(spec)
+    if not isinstance(spec, list):
+        raise ValueError(f"{what} must be a JSON list, got {spec!r}")
+    return spec
+
+
+def _json_point(v, what: str) -> complex:
+    """A JSON [x, y] pair of numbers as x + iy."""
+    if not (isinstance(v, list) and len(v) == 2 and all(isinstance(c, (int, float)) for c in v)):
+        raise ValueError(f"{what} must be an [x, y] pair of numbers, got {v!r}")
+    return complex(v[0], v[1])
+
+
 def _rat_str(x: Fraction | int) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -268,15 +288,12 @@ def _cmd_integerize(cfg: ExperimentConfig):
 
 def _cmd_patch(cfg: ExperimentConfig):
     m = parse_polynomial(cfg.inputs["poly"])
-    holes_spec = cfg.inputs["holes"]
-    if isinstance(holes_spec, str) and holes_spec.endswith(".json"):
-        with open(holes_spec) as fh:
-            holes_spec = json.load(fh)
-    elif isinstance(holes_spec, str):
-        holes_spec = json.loads(holes_spec)
-    region = RegionSpec(
-        [(complex(h["center"][0], h["center"][1]), float(h["radius"])) for h in holes_spec]
-    )
+    holes = []
+    for h in _json_list(cfg.inputs["holes"], "--holes"):
+        if not (isinstance(h, dict) and isinstance(h.get("radius"), (int, float))):
+            raise ValueError(f"a hole must be an object with a center and a numeric radius, got {h!r}")
+        holes.append((_json_point(h.get("center"), "a hole's center"), float(h["radius"])))
+    region = RegionSpec(holes)
     pconf = PatchConfig(
         grid=cfg.grid,
         max_degree=cfg.degree_cap,
@@ -314,12 +331,9 @@ def _cmd_family(cfg: ExperimentConfig):
     p = parse_polynomial(cfg.inputs["p"]).to_int_poly()
     order = int(cfg.inputs.get("order", 16 * max(p.degree, 1)))
     if "seeds" in cfg.inputs:
-        spec = cfg.inputs["seeds"]
-        if isinstance(spec, str) and spec.endswith(".json"):
-            with open(spec) as fh:
-                spec = json.load(fh)
-        elif isinstance(spec, str):
-            spec = json.loads(spec)
+        spec = _json_list(cfg.inputs["seeds"], "--seeds")
+        if not all(isinstance(s, list) for s in spec):
+            raise ValueError(f"--seeds must be a list of integer lists, got {spec!r}")
         seeds = [SeedSequence(s) for s in spec]
     else:
         count = int(cfg.inputs.get("count", 8))
@@ -343,13 +357,7 @@ def _cmd_family(cfg: ExperimentConfig):
 
 
 def _cmd_suggest_region(cfg: ExperimentConfig):
-    spec = cfg.inputs["samples"]
-    if isinstance(spec, str) and spec.endswith(".json"):
-        with open(spec) as fh:
-            spec = json.load(fh)
-    elif isinstance(spec, str):
-        spec = json.loads(spec)
-    samples = [complex(s[0], s[1]) for s in spec]
+    samples = [_json_point(s, "a sample") for s in _json_list(cfg.inputs["samples"], "--samples")]
     cand = heuristic_real_candidate(samples, int(cfg.inputs.get("degree_budget", 8)))
     emp = min(abs(complex(cand(w))) for w in samples)
     return {"found": True, "poly": poly_to_string(cand), "empirical_min": emp}

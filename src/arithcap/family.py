@@ -13,9 +13,9 @@ and N = min(len(seed), floor(order/m)), the sum is H / R^N for
     H = sum_{n=1}^N a_n X^{mn} R^{N-n},
 
 so the integer Horner step H <- H R + a_n X^{mn} builds H in N products by
-the m + 1 coefficients of R, each O(order m), and one truncated product of
-H by the unit series 1/R^N finishes the member.  Computing R^N (Miller's
-recurrence), its reciprocal and that last product each cost O(order^2).
+the m + 1 coefficients of R, each O(order m).  Miller's recurrence at
+exponent -N gives the unit series 1/R^N in O(order m), and one truncated
+product of H by it, O(order^2), finishes the member.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .analytic import AnalyticMap
 from .curves import DomainSpec
 from .errors import NonzeroConstantTerm, NotMonic, SampleSingularity
 from .polys import IntPoly, horner, mul_coeffs, pow_coeffs, reverse_unit_poly
-from .series import TruncSeries, series_compose, series_reciprocal
+from .series import TruncSeries, series_compose
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,13 @@ class SeedSequence:
     bound: int
 
     def __init__(self, values: Sequence[int], bound: int | None = None):
-        vals = tuple(int(v) for v in values)
+        raw = tuple(values)
+        try:
+            vals = tuple(int(v) for v in raw)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"seed values must be integers: {exc}") from None
+        if vals != raw:
+            raise ValueError(f"seed values must be integers, got {list(raw)!r}")
         b = max((abs(v) for v in vals), default=0) if bound is None else int(bound)
         if any(abs(v) > b for v in vals):
             raise ValueError(f"seed exceeds the bound {b}")
@@ -84,8 +90,7 @@ def family_member(p: IntPoly, seed: SeedSequence, order: int) -> TruncSeries:
         if a:
             H += [0] * (m * n + 1 - len(H))
             H[m * n] += a
-    inv = series_reciprocal(TruncSeries(pow_coeffs(R, N, order), order))
-    return TruncSeries(mul_coeffs(H, inv.coeffs, order), order)
+    return TruncSeries(mul_coeffs(H, pow_coeffs(R, -N, order), order), order)
 
 
 def compose_with_f(g: TruncSeries, f: TruncSeries, order: int | None = None) -> TruncSeries:

@@ -40,12 +40,10 @@ class GreenSolution:
     const: float               # c0
     robin_c: float             # h(O)
     capacity: float            # e^{-robin_c}
-    nodes_t: np.ndarray        # collocation parameters per node (outer curve first)
     nodes_z: np.ndarray        # collocation points
     weights: np.ndarray        # normalized equilibrium weights at the nodes
     raw_weight_sum: float      # quadrature mass before normalization
     collocation_residual: float
-    curve_index: np.ndarray    # which curve each node belongs to
 
     # -- evaluation ------------------------------------------------------------
 
@@ -151,12 +149,9 @@ def solve_green(
     O = domain.center
 
     ncurves = len(domain.curves)
-    col_counts = [resolution] * ncurves
     src_counts = [max(resolution // 2, 8)] * ncurves
     t = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
     nodes = np.concatenate([c(t) for c in domain.curves])
-    nodes_t = np.concatenate([t] * ncurves)
-    curve_index = np.concatenate([np.full(resolution, i) for i in range(ncurves)])
     sources = _source_points(domain, src_counts, source_offset)
 
     A = np.concatenate(
@@ -189,12 +184,10 @@ def solve_green(
         const=const,
         robin_c=robin,
         capacity=float(np.exp(-robin)),
-        nodes_t=nodes_t,
         nodes_z=nodes,
         weights=np.zeros(len(nodes)),
         raw_weight_sum=0.0,
         collocation_residual=residual,
-        curve_index=curve_index,
     )
     # fill the measure weights from the analytic flux
     raw = np.concatenate(

@@ -1,23 +1,26 @@
 """Integerizing exponents: powers f^M of a monic rational polynomial whose top
 N non-leading coefficients are integers.
 
-Two routes are provided.  The valuation formula picks
-M = prod_{p | k} p^{N(1 + v_p(k))} with k the lcm of the coefficient
-denominators, which guarantees every multinomial coefficient appearing in the
-top N coefficients of f^M absorbs the denominators (k^N divides each one).
-The search route finds the genuinely smallest M by checking integrality of the
-top coefficients directly; both only ever touch the top N+1 coefficients, via
-the degree-reversed polynomial viewed as a truncated series.
+Only the top N+1 coefficients of f^M matter: they are R^M mod X^{N+1} for
+the reversed series R = X^d f(1/X), which has constant term 1.  The valuation
+formula picks M = prod_{p | k} p^{N(1 + v_p(k))} with k the lcm of the
+coefficient denominators, so that k^N divides every multinomial coefficient
+in the top N coefficients of f^M.  The search finds the smallest M from the
+subgroup structure: the M with R^M integral mod X^{N+1} form a group M_0 Z,
+since p-integral unit series are closed under products and inverses.  Its
+p-part is p^{a_p} Z, because a u-th root of a p-integral unit series is
+p-integral when p does not divide u.  So M_0 = prod_{p | k} p^{a_p}, with
+a_p the least a for which R^{p^a} is p-integral.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DegreeTooSmall, NotFound, NotMonic
 from .padic import prime_factorization, vp_integer
-from .polys import RatPoly
+from .polys import RatPoly, pow_coeffs
 from .series import TruncSeries
 
 
@@ -89,24 +92,25 @@ def integerizing_exponent(f: RatPoly, N: int) -> IntegerizationResult:
 def minimal_integerizing_exponent(
     f: RatPoly, N: int, cap: int, min_exponent: int = 1
 ) -> IntegerizationResult:
-    """Smallest M in [min_exponent, cap] with verify_top_integrality(f, M, N).
-
-    Maintains the reversed-series power incrementally, so the scan costs one
-    order-N series multiplication per candidate.  Raises NotFound past cap.
+    """Smallest M in [min_exponent, cap] with verify_top_integrality(f, M, N):
+    the least multiple of M_0 (see the module docstring) that is at least
+    min_exponent and N/d.  The search for a_p stops once M_0 passes cap.
     """
     if not f.is_monic:
         raise NotMonic("f must be monic")
     if cap < 1:
         raise ValueError("cap must be positive")
-    d = f.degree
-    rev = _reversed_series(f, N)
-    power = TruncSeries.one(N)
-    k = f.denominator_lcm()
-    for M in range(1, cap + 1):
-        power = power * rev
-        if M < min_exponent or d * M < N:
-            continue
-        if all(isinstance(c, int) for c in power.coeffs[1 : N + 1]):
-            exps = tuple((p, vp_integer(M, p)) for p, _ in prime_factorization(k)) if k > 1 else ()
-            return IntegerizationResult(M=M, k=k, prime_exponents=exps, verified=True, route="search")
-    raise NotFound(f"no integerizing exponent <= {cap} (N={N})")
+    d, k = f.degree, f.denominator_lcm()
+    R = _reversed_series(f, N).coeffs
+    M0 = 1
+    for p, _ in prime_factorization(k):
+        q = 1  # p^a, raised while R^(p^a) is not p-integral
+        while M0 * q <= cap and any(c.denominator % p == 0 for c in pow_coeffs(R, q, N)):
+            q *= p
+        M0 *= q
+    lower = max(min_exponent, 1, -(-N // max(d, 1)))  # M >= min_exponent, d M >= N
+    M = -(-lower // M0) * M0
+    if M > cap or d * M < N:  # d * M < N only for d = 0
+        raise NotFound(f"no integerizing exponent <= {cap} (N={N})")
+    exps = tuple((p, vp_integer(M, p)) for p, _ in prime_factorization(k))
+    return IntegerizationResult(M=M, k=k, prime_exponents=exps, verified=True, route="search")

@@ -621,7 +621,7 @@ def degree_consistency_residual(sol: GreenSolution, e: int, c1: complex = 1.0) -
     monic order-e composite must equal e times the Arakelov degree."""
     O = sol.domain.center
     base = PolyMap([-c1 * O, c1])
-    comp = base.shifted_power(O, e)
+    comp = base.shifted_power(e)
     jet = taylor_jet(comp, sol.domain, order=e + 4)
     degree = float(np.log(np.abs(c1)) + sol.robin_c)
     return abs(jet_cap_norm(jet, sol) - e * degree)

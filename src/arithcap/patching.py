@@ -261,7 +261,6 @@ class PatchConfig:
     grid: int = 48
     max_refinements: int = 4
     max_degree: int = 8192
-    search_cap: int = 65536
     denominator_limit: int = 64
     spot_samples: int = 1000
     seed: int = 0
@@ -304,7 +303,7 @@ def choose_parameters(f: RatPoly, region: RegionSpec, config: PatchConfig = Patc
         M = 1
     else:
         # any M above max_degree // d is rejected below, so the search stops there
-        cap = max(1, min(config.search_cap, config.max_degree // d))
+        cap = max(1, config.max_degree // d)
         try:
             M = minimal_integerizing_exponent(f, N, cap=cap, min_exponent=k + 1).M
         except NotFound as exc:

@@ -238,35 +238,38 @@ def horner(coeffs: Sequence, x):
 
 
 def pow_coeffs(a: tuple, n: int, order: int | None = None) -> list:
-    """Coefficients of a(x)^n, or of a(x)^n mod x^(order+1) when order is given.
+    """Coefficients of a(x)^n, or of a(x)^n mod x^(order+1) when order is given;
+    n may be negative when an order is given and a_0 != 0 (so -1 gives the
+    reciprocal series).
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): for a_0 != 0 and
-    b = a^n, b_0 = a_0^n and
+    b = a^n, b_0 = a_0^n and, for every integer n,
 
         k a_0 b_k = sum_{j=1}^{min(d,k)} ((n+1) j - k) a_j b_{k-j},
 
     d * len(b) coefficient products against len(b)^2 for binary powering.
     A zero constant term is factored out as a power of x first.  Each
-    division is exact; over Z an inexact one raises NonzeroRemainder.
+    division is exact; integer a stays on ints when n >= 0 or a_0 = +-1,
+    where an inexact division raises NonzeroRemainder.
     Trailing zeros of a are allowed; 0^0 = 1.
     """
-    if n < 0:
-        raise ValueError("negative power")
     nonzero = [i for i, c in enumerate(a) if c != 0]
+    if n < 0 and (order is None or not nonzero or nonzero[0] != 0):
+        raise ValueError("a negative power needs an order and a nonzero constant term")
     if not nonzero:
         return [1] if n == 0 else []
     v, e = nonzero[0], nonzero[-1]
     shift = v * n
-    count = (e - v) * n + 1
+    count = (e - v) * n + 1 if n >= 0 else order + 1
     if order is not None:
         count = min(count, order + 1 - shift)
         if count <= 0:
             return []
     a0 = a[v]
     terms = [(j - v, a[j]) for j in nonzero[1:]]
-    integral = all(isinstance(a[j], int) for j in nonzero)
+    integral = (n >= 0 or a0 in (1, -1)) and all(isinstance(a[j], int) for j in nonzero)
     n1 = n + 1
-    b = [_norm_scalar(a0**n)]
+    b = [_norm_scalar(Fraction(a0) ** n)]
     for k in range(1, count):
         s = 0
         for j, aj in terms:

@@ -17,7 +17,7 @@ from .errors import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
 )
-from .polys import RatPoly, _norm_scalar, add_coeffs, horner, mul_coeffs, pow_coeffs
+from .polys import _norm_scalar, add_coeffs, horner, mul_coeffs, pow_coeffs
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class TruncSeries:
         object.__setattr__(self, "order", order)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, p: RatPoly, order: int) -> "TruncSeries":
-        return cls(p.coeffs[: order + 1], order)
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
@@ -97,6 +93,8 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TruncSeries":
+        if n < 0:
+            raise ValueError("negative power; use series_reciprocal")
         return TruncSeries(pow_coeffs(self.coeffs, n, self.order), self.order)
 
     def __repr__(self):
@@ -111,12 +109,12 @@ class TruncSeries:
 def series_reciprocal(
     s: TruncSeries, order: int | None = None, *, allow_rational: bool = False
 ) -> TruncSeries:
-    """Multiplicative inverse mod X^{D+1}.
+    """Multiplicative inverse mod X^{D+1}: Miller's recurrence at exponent -1
+    (`pow_coeffs`).
 
     A series stored over Z must have constant term +-1 (a unit) unless
     allow_rational is set, in which case any nonzero constant term works and
     the result may be rational.
-    Recurrence: b_0 = 1/a_0, b_m = -(1/a_0) * sum_{k=1..m} a_k b_{m-k}.
     """
     d = s.order if order is None else order
     if d > s.order:
@@ -126,17 +124,7 @@ def series_reciprocal(
         raise NonUnitConstantTerm("constant term is zero")
     if s.is_integral and a0 not in (1, -1) and not allow_rational:
         raise NonUnitConstantTerm(f"constant term {a0} is not a unit in Z")
-    inv0 = a0 if a0 in (1, -1) else Fraction(1) / a0
-    out = [0] * (d + 1)
-    out[0] = _norm_scalar(inv0)
-    for m in range(1, d + 1):
-        acc = 0
-        for k in range(1, min(m, s.order) + 1):
-            ak = s.coeffs[k]
-            if ak != 0:
-                acc += ak * out[m - k]
-        out[m] = _norm_scalar(-inv0 * acc) if acc != 0 else 0
-    return TruncSeries(out, d)
+    return TruncSeries(pow_coeffs(s.coeffs, -1, d), d)
 
 
 def series_compose(g: TruncSeries, f: TruncSeries, order: int | None = None) -> TruncSeries:

@@ -114,6 +114,12 @@ class TestCommands:
             # the value after --config is the file's content, written below
             ["capacity", "--domain", "circle(1.0)", "--config", "[1, 2]"],
             ["capacity", "--domain", "circle(1.0)", "--config", '{"inputs": 5}'],
+            ["patch", "--poly", "x^2 - 1/2", "--holes", "5"],
+            ["patch", "--poly", "x^2 - 1/2", "--holes", "[1]"],
+            ["family", "--p", "X - 2", "--seeds", "5"],
+            ["family", "--p", "X - 2", "--seeds", "[[0.5]]"],
+            ["suggest-region", "--samples", "5"],
+            ["suggest-region", "--samples", "[1]"],
         ],
     )
     def test_bad_input_usage_error(self, capsys, tmp_path, args):

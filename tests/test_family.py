@@ -162,6 +162,14 @@ class TestSeeds:
         with pytest.raises(ValueError):
             SeedSequence([3, 1], bound=2)
 
+    @pytest.mark.parametrize("bad", [0.5, "1", None, float("inf")])
+    def test_non_integer_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be integers"):
+            SeedSequence([1, bad])
+
+    def test_integral_values_accepted(self):
+        assert SeedSequence([2.0, True, -3]).values == (2, 1, -3)
+
     def test_from_bits(self):
         s = SeedSequence.from_bits(0.625, 4)  # 0.101 in binary
         assert s.values == (1, 0, 1, 0)

@@ -6,16 +6,40 @@ from hypothesis import strategies as st
 
 from arithcap.errors import DegreeTooSmall, NotFound, NotMonic
 from arithcap.integerize import (
+    IntegerizationResult,
     integerizing_exponent,
     minimal_integerizing_exponent,
     verify_top_integrality,
 )
+from arithcap.padic import prime_factorization, vp_integer
 from arithcap.polys import RatPoly, poly_pow
+from arithcap.series import TruncSeries
 
 F = Fraction
 
 HALF_X = RatPoly([F(1, 2), 1])              # x + 1/2
 QUARTER = RatPoly([F(1, 4), -1, 1])          # x^2 - x + 1/4 = (x - 1/2)^2
+
+
+def _reference_minimal_integerizing_exponent(f, N, cap, min_exponent=1):
+    """The linear scan the subgroup search replaced, kept as its oracle:
+    M = 1, 2, ... with the reversed-series power kept incrementally."""
+    if not f.is_monic:
+        raise NotMonic("f must be monic")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    d = f.degree
+    rev = TruncSeries(tuple(reversed(f.coeffs))[: N + 1], N)
+    power = TruncSeries.one(N)
+    k = f.denominator_lcm()
+    for M in range(1, cap + 1):
+        power = power * rev
+        if M < min_exponent or d * M < N:
+            continue
+        if all(isinstance(c, int) for c in power.coeffs[1 : N + 1]):
+            exps = tuple((p, vp_integer(M, p)) for p, _ in prime_factorization(k)) if k > 1 else ()
+            return IntegerizationResult(M=M, k=k, prime_exponents=exps, verified=True, route="search")
+    raise NotFound(f"no integerizing exponent <= {cap} (N={N})")
 
 
 @st.composite
@@ -139,3 +163,55 @@ class TestSearchRoute:
         except NotFound:
             return
         assert found.M <= formula.M
+
+
+def _outcome(search, *args, **kw):
+    try:
+        return search(*args, **kw)
+    except NotFound as exc:
+        return ("NotFound", str(exc))
+
+
+class TestSubgroupSearch:
+    """The subgroup search against the linear scan it replaced."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        monic_denominator_polys(),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=1, max_value=600),
+        st.integers(min_value=-2, max_value=80),
+    )
+    def test_matches_linear_scan(self, f, N, cap, min_exponent):
+        got = _outcome(minimal_integerizing_exponent, f, N, cap=cap, min_exponent=min_exponent)
+        want = _outcome(
+            _reference_minimal_integerizing_exponent, f, N, cap=cap, min_exponent=min_exponent
+        )
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "f, N, cap, min_exponent",
+        [
+            (QUARTER, 8, 4096, 5),  # the flagship search: M = 1024
+            (HALF_X, 2, 7, 1),  # NotFound
+            (HALF_X, 3, 64, 9),  # the answer is a multiple of M_0 above min_exponent
+            (RatPoly([F(1, 6), F(-1, 3), 1]), 4, 600, 1),  # two primes
+            (RatPoly([1]), 0, 5, 3),  # degree 0, N = 0
+            (RatPoly([1]), 2, 5, 1),  # degree 0 never reaches d M >= N
+            (RatPoly([7, 0, 1]), 5, 2, 1),  # integral, but d * cap < N
+        ],
+    )
+    def test_fixed_cases(self, f, N, cap, min_exponent):
+        args = (f, N)
+        kw = dict(cap=cap, min_exponent=min_exponent)
+        assert _outcome(minimal_integerizing_exponent, *args, **kw) == _outcome(
+            _reference_minimal_integerizing_exponent, *args, **kw
+        )
+
+    def test_bad_arguments(self):
+        with pytest.raises(NotMonic):
+            minimal_integerizing_exponent(RatPoly([1, 2]), 2, cap=8)
+        with pytest.raises(ValueError):
+            minimal_integerizing_exponent(HALF_X, 2, cap=0)
+        with pytest.raises(ValueError):
+            minimal_integerizing_exponent(HALF_X, -1, cap=8)

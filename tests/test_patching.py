@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -453,6 +454,14 @@ class TestChooseParameters:
         # (x + 1/2)^2 outside D_2 needs N = 138; no M <= 256 // 2 integerizes it
         with pytest.raises(DegreeCapExceeded):
             choose_parameters(P(F(1, 4), 1, 1), D2, PatchConfig(max_degree=256))
+
+    def test_degree_cap_at_default_max_degree_is_quick(self):
+        # the same input at max_degree 8192: the subgroup search proves
+        # M_0 > 4096 without scanning 4,096 candidates (about 9 s)
+        t0 = time.perf_counter()
+        with pytest.raises(DegreeCapExceeded, match=r"^no integerizing exponent <= 4096 \(N=138\)$"):
+            choose_parameters(P(F(1, 4), 1, 1), D2)
+        assert time.perf_counter() - t0 < 3.0
 
 
 class TestRationalize:

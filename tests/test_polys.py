@@ -17,6 +17,7 @@ from arithcap.polys import (
     mul_coeffs,
     poly_div_exact,
     poly_pow,
+    pow_coeffs,
     reverse_unit_poly,
 )
 from arithcap.series import TruncSeries
@@ -151,6 +152,34 @@ class TestPowOracle:
         for f in (IntPoly([1, 1]), RatPoly([1, 1]), TruncSeries([1, 1], 3)):
             with pytest.raises(ValueError):
                 f ** -1
+
+
+class TestNegativePow:
+    """Miller's recurrence at a negative exponent: the inverse of a^n mod
+    x^(order+1), checked against the positive power it inverts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(int_coeff_lists, rat_coeff_lists).filter(lambda c: c and c[0] != 0),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=14),
+    )
+    def test_inverts_the_positive_power(self, coeffs, n, order):
+        a = [_norm_scalar(c) for c in coeffs]
+        inv = pow_coeffs(a, -n, order)
+        assert len(inv) == order + 1
+        prod = mul_coeffs(inv, pow_coeffs(a, n, order), order)
+        assert [_norm_scalar(c) for c in prod] == [1] + [0] * order
+        if all(isinstance(c, int) for c in a) and a[0] in (1, -1):
+            assert all(isinstance(c, int) for c in inv)
+
+    def test_non_unit_integer_constant_goes_rational(self):
+        assert pow_coeffs([2, 1], -1, 2) == [F(1, 2), F(-1, 4), F(1, 8)]
+
+    def test_needs_order_and_constant_term(self):
+        for a, order in (([1, 1], None), ([0, 1], 3), ([], 3)):
+            with pytest.raises(ValueError):
+                pow_coeffs(a, -1, order)
 
 
 class TestRingLaws:

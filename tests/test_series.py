@@ -9,6 +9,7 @@ from arithcap.errors import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
 )
+from arithcap.polys import _norm_scalar
 from arithcap.series import (
     TruncSeries,
     series_comp_inverse,
@@ -157,6 +158,24 @@ def _reference_compose(g, f, order=None):
     return acc
 
 
+def _reference_reciprocal(s, order=None):
+    """The reciprocal loop before series_reciprocal ran Miller's recurrence at
+    exponent -1; unit checks left to the caller."""
+    d = s.order if order is None else order
+    a0 = s.coeffs[0]
+    inv0 = a0 if a0 in (1, -1) else Fraction(1) / a0
+    out = [0] * (d + 1)
+    out[0] = _norm_scalar(inv0)
+    for m in range(1, d + 1):
+        acc = 0
+        for k in range(1, min(m, s.order) + 1):
+            ak = s.coeffs[k]
+            if ak != 0:
+                acc += ak * out[m - k]
+        out[m] = _norm_scalar(-inv0 * acc) if acc != 0 else 0
+    return TruncSeries(out, d)
+
+
 @st.composite
 def series_pair(draw):
     """Two series of independent orders whose coefficient lists may run past
@@ -169,6 +188,19 @@ def series_pair(draw):
     return out
 
 
+@st.composite
+def invertible_series(draw):
+    """(series, over_z): an integer series with constant term +-1, or one with
+    any nonzero rational constant term."""
+    order = draw(st.integers(min_value=0, max_value=12))
+    over_z = draw(st.booleans())
+    if over_z:
+        c0, tail = draw(st.sampled_from([1, -1])), st.integers(-9, 9)
+    else:
+        c0, tail = draw(small_rationals.filter(bool)), st.one_of(st.integers(-9, 9), small_rationals)
+    return TruncSeries([c0] + draw(st.lists(tail, max_size=order)), order), over_z
+
+
 class TestKernelOracle:
     @settings(max_examples=300, deadline=None)
     @given(series_pair())
@@ -177,6 +209,18 @@ class TestKernelOracle:
         assert a * b == _reference_mul(a, b)
         assert a + b == _reference_add(a, b)
         assert a - b == _reference_add(a, -b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(invertible_series(), st.integers(min_value=0, max_value=12))
+    def test_reciprocal(self, drawn, order):
+        s, over_z = drawn
+        order = min(order, s.order)
+        for got, want in (
+            (series_reciprocal(s, allow_rational=not over_z), _reference_reciprocal(s)),
+            (series_reciprocal(s, order, allow_rational=not over_z), _reference_reciprocal(s, order)),
+        ):
+            assert got == want
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
     @settings(max_examples=200, deadline=None)
     @given(series_pair(), st.one_of(small_rationals, st.floats(-2, 2), st.integers(-4, 4)))
