@@ -109,7 +109,7 @@ def parse_domain(text: str, center: str | None = None) -> DomainSpec:
         if name == "perturbed":
             r = args[0] if args else 1.0
             eps = args[1] if len(args) > 1 else 0.05
-            mode = int(args[2]) if len(args) > 2 else 3
+            mode = args[2] if len(args) > 2 else 3
             return perturbed_circle_domain(r, eps, mode, 0j if O is None else O)
         raise ValueError(f"unknown domain shorthand {name!r}")
     dom = domain_from_dict(spec)
@@ -180,13 +180,10 @@ def _cmd_green(cfg: ExperimentConfig):
 def _cmd_measure(cfg: ExperimentConfig):
     dom = parse_domain(cfg.inputs["domain"], cfg.inputs.get("center"))
     sol = solve_green(dom, cfg.resolution)
-    nodes = int(cfg.inputs.get("nodes", cfg.resolution))
-    t = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
+    t, z, w, _ = equilibrium_measure(sol, int(cfg.inputs.get("nodes", cfg.resolution)))
     rows = ["t,x,y,weight"]
-    pairs = equilibrium_measure(sol, nodes)
-    ts = np.concatenate([t] * len(dom.curves))
-    for (pt, w), tt in zip(pairs, ts):
-        rows.append(f"{float(tt)!r},{float(pt.real)!r},{float(pt.imag)!r},{float(w)!r}")
+    for tt, pt, ww in zip(t, z, w):
+        rows.append(f"{float(tt)!r},{float(pt.real)!r},{float(pt.imag)!r},{float(ww)!r}")
     return "\n".join(rows) + "\n"
 
 

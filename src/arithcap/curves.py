@@ -204,15 +204,17 @@ def conformal_image_domain(psi_coeffs: Sequence[complex], O: complex | None = No
 def perturbed_circle_domain(
     radius: float = 1.0, eps: float = 0.05, mode: int = 3, O: complex = 0j
 ) -> DomainSpec:
-    """Circle with a cos(mode * t) radial ripple: gamma = radius e^{it} (1 + eps cos(m t))."""
-    curve = TrigCurve(
-        {
-            1: radius,
-            mode + 1: radius * eps / 2,
-            1 - mode: radius * eps / 2,
-        }
-    )
-    return DomainSpec([curve], O)
+    """Circle with a cos(mode * t) radial ripple: gamma = radius e^{it} (1 + eps cos(m t)).
+
+    The ripple's two terms sit at frequencies m + 1 and 1 - m; coefficients
+    that share a frequency (all three at m = 0) are summed.
+    """
+    if not float(mode).is_integer():
+        raise ValueError(f"perturbation mode must be an integer, got {mode!r}")
+    coeffs = {1: radius}
+    for k in (int(mode) + 1, 1 - int(mode)):
+        coeffs[k] = coeffs.get(k, 0.0) + radius * eps / 2
+    return DomainSpec([TrigCurve(coeffs)], O)
 
 
 def trig_domain(coeff_map: Mapping[int, complex], O: complex, holes: Sequence[Mapping[int, complex]] = ()) -> DomainSpec:

@@ -11,11 +11,14 @@ curve, inside the holes) on analytic continuations of the boundary curves, and
 fitted by least squares at boundary collocation points.  The equilibrium
 measure is the outward normal flux (1/2pi) dg/dn ds, evaluated from the same
 representation analytically, so its raw quadrature weights sum to 1 up to
-spectral-size quadrature error.
+spectral-size quadrature error.  equilibrium_measure is the one trapezoid
+rule for that measure; every quadrature against it starts there.
 
 The expansion is exponentially convergent for the analytic boundaries used
-here; solution quality is measured by the boundary residual at interleaved
-validation points (by the maximum principle it bounds the interior error).
+here; solution quality is measured by the largest boundary residual at the
+interleaved validation points.  That is an estimate, not a bound: by the
+maximum principle the interior error is bounded by the error on the whole
+boundary, and the samples see it only at their points.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ class GreenSolution:
     robin_c: float             # h(O)
     capacity: float            # e^{-robin_c}
     nodes_z: np.ndarray        # collocation points
-    weights: np.ndarray        # normalized equilibrium weights at the nodes
-    raw_weight_sum: float      # quadrature mass before normalization
+    raw_weight_sum: float      # quadrature mass of the measure before normalization
     collocation_residual: float
 
     # -- evaluation ------------------------------------------------------------
@@ -148,8 +150,7 @@ def solve_green(
     domain.require_center_off_boundary()
     O = domain.center
 
-    ncurves = len(domain.curves)
-    src_counts = [max(resolution // 2, 8)] * ncurves
+    src_counts = [max(resolution // 2, 8)] * len(domain.curves)
     t = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
     nodes = np.concatenate([c(t) for c in domain.curves])
     sources = _source_points(domain, src_counts, source_offset)
@@ -185,36 +186,28 @@ def solve_green(
         robin_c=robin,
         capacity=float(np.exp(-robin)),
         nodes_z=nodes,
-        weights=np.zeros(len(nodes)),
         raw_weight_sum=0.0,
         collocation_residual=residual,
     )
-    # fill the measure weights from the analytic flux
-    raw = np.concatenate(
-        [
-            sol.measure_density_t(i, t) * (2 * np.pi / resolution)
-            for i in range(ncurves)
-        ]
-    )
-    total = float(raw.sum())
-    object.__setattr__(sol, "raw_weight_sum", total)
-    object.__setattr__(sol, "weights", raw / total)
+    object.__setattr__(sol, "raw_weight_sum", equilibrium_measure(sol, resolution)[3])
     return sol
 
 
-def equilibrium_measure(sol: GreenSolution, nodes: int = 256):
-    """Fresh quadrature discretization of the equilibrium measure with the
-    requested node count per curve: list of (point, weight), weights >= 0
-    normalized to sum exactly 1."""
+def equilibrium_measure(sol: GreenSolution, nodes: int = 256, offset: float = 0.0):
+    """The trapezoid rule for the equilibrium measure, the one place it is
+    written: nodes t_j = (j + offset) 2pi/nodes on every curve, weights
+    measure_density_t(t_j) 2pi/nodes normalized to sum 1.
+
+    Returns arrays (t, z, w, mass), curve after curve: the parameters, the
+    boundary points, the weights (>= 0 up to solver error) and the raw mass
+    before normalization (1 up to quadrature and solver error).
+    """
     if nodes < 1:
         raise ValueError("need at least one node per curve")
-    t = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
-    pts = []
-    ws = []
-    for i, curve in enumerate(sol.domain.curves):
-        pts.append(curve(t))
-        ws.append(sol.measure_density_t(i, t) * (2 * np.pi / nodes))
-    pts = np.concatenate(pts)
-    ws = np.concatenate(ws)
-    ws = ws / ws.sum()
-    return list(zip(pts.tolist(), ws.tolist()))
+    h = 2 * np.pi / nodes
+    t = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False) + offset * h
+    curves = sol.domain.curves
+    z = np.concatenate([c(t) for c in curves])
+    w = np.concatenate([sol.measure_density_t(i, t) * h for i in range(len(curves))])
+    mass = float(w.sum())
+    return np.tile(t, len(curves)), z, w / mass, mass

@@ -6,9 +6,13 @@ The overflow of f at (V, O) is
     Ex(f) = integral_V g d(f^*(f(O)) - eO) + integral f_*g d(f_*mu)
 
 and equals the boundary energy integral of f minus the log capacitary jet
-norm.  The def route evaluates the first formula from preimages and measure
-quadrature, in one batched pass per call: the preimages of f at every
-boundary node come from one stacked companion eigenproblem
+norm.  Every integral against mu here takes its nodes and weights from
+greens.equilibrium_measure, the one trapezoid rule for mu, as arrays
+(t, z, w, mass); only the energy route's isolated corrections evaluate the
+density off that grid.  The def route evaluates the first formula from
+preimages and measure quadrature, in one batched pass per call: the
+preimages of f at every boundary node come from one stacked companion
+eigenproblem
 (analytic.preimage_clusters), all of them go through one containment pass
 (TrigCurve.winding, in blocks of 32 points), and g is evaluated once, on the
 inside ones.  The values equal those of a node-by-node evaluation bit for
@@ -47,7 +51,7 @@ from .analytic import (
     preimages,
     taylor_jet,
 )
-from .curves import DomainSpec, TrigCurve
+from .curves import DomainSpec, TrigCurve, circle_domain
 from .errors import (
     AsymmetricDomain,
     BoundaryZero,
@@ -55,7 +59,7 @@ from .errors import (
     ConstantMap,
     WrongVanishingOrder,
 )
-from .greens import GreenSolution, solve_green
+from .greens import GreenSolution, equilibrium_measure, solve_green
 
 # Columns per block of the energy route's smooth remainder: 2048 nodes x 128
 # columns is a 4 MiB complex difference, so no n x n array is ever built.
@@ -81,24 +85,12 @@ def pushforward_green(sol: GreenSolution, f: AnalyticMap, w):
     return float(total[0]) if ws.ndim == 0 else total.reshape(ws.shape)
 
 
-def _measure_nodes(sol: GreenSolution, nodes: int):
-    """Quadrature nodes and normalized weights at the requested resolution."""
-    t = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
-    zs, ws = [], []
-    for i, curve in enumerate(sol.domain.curves):
-        zs.append(curve(t))
-        ws.append(sol.measure_density_t(i, t) * (2 * np.pi / nodes))
-    z = np.concatenate(zs)
-    w = np.concatenate(ws)
-    return t, z, w / w.sum()
-
-
 def log_abs_boundary_integral(
     sol: GreenSolution, f: AnalyticMap, nodes: int = 1024, zero_threshold: float = 1e-9
 ) -> float:
     """integral log|f| dmu by boundary quadrature; BoundaryZero if |f| dips
     below zero_threshold at a node (the nonvanishing guard)."""
-    _, z, w = _measure_nodes(sol, nodes)
+    _, z, w, _ = equilibrium_measure(sol, nodes)
     vals = np.abs(f(z))
     if np.min(vals) < zero_threshold:
         raise BoundaryZero(
@@ -141,7 +133,7 @@ def _energy_double_integral(
     sol: GreenSolution,
     f: AnalyticMap,
     n: int,
-    grid_offset: float = 0.0,
+    offset: float = 0.0,
 ) -> _EnergyPieces:
     """integral integral log|f(z1) - f(z2)| dmu(z1) dmu(z2) on a single-curve domain."""
     domain = sol.domain
@@ -149,13 +141,9 @@ def _energy_double_integral(
         raise ValueError("energy quadrature implemented for single-curve domains")
     curve = domain.curves[0]
     h = 2 * np.pi / n
-    t = np.linspace(0.0, 2 * np.pi, n, endpoint=False) + grid_offset * h
-    z = curve(t)
-    dz = curve.deriv(t)
+    t, z, w, _ = equilibrium_measure(sol, n, offset)
     F = f(z)
-    dF = f.deriv(z) * dz  # dF/dt
-    w = sol.measure_density_t(0, t) * h
-    w = w / w.sum()
+    dF = f.deriv(z) * curve.deriv(t)  # dF/dt
 
     shifts_idx = _deck_shifts(F, 1e-9)
     deltas = [2 * np.pi * m / n for m in shifts_idx]
@@ -247,7 +235,7 @@ def _energy_with_retries(sol: GreenSolution, f: AnalyticMap, n: int) -> _EnergyP
     last = None
     for offset in (0.0, 0.5, math.e / 7):
         try:
-            return _energy_double_integral(sol, f, n, grid_offset=offset)
+            return _energy_double_integral(sol, f, n, offset)
         except BoundaryZero as exc:
             last = exc
     raise last
@@ -421,7 +409,7 @@ def overflow(
         raise ConstantMap("overflow needs a nonconstant map")
     if method == "def":
         term1 = _center_divisor_sum(sol, f)
-        _, z, w = _measure_nodes(sol, n_quad)
+        _, z, w, _ = equilibrium_measure(sol, n_quad)
         return term1 + float(w @ pushforward_green(sol, f, f(z)))
     if method == "energy":
         energy = _energy_with_retries(sol, f, n_quad).value
@@ -456,13 +444,9 @@ def identity_residual(
     if abs(fO) > 1e-8 * scale:
         raise CenterNotZero(f"f(O) = {fO:.3g} is not zero")
 
-    t = np.linspace(0.0, 2 * np.pi, n_quad, endpoint=False)
-    curve = sol.domain.curves[0]
     if len(sol.domain.curves) != 1:
         raise ValueError("identity checks implemented for single-curve domains")
-    z = curve(t)
-    w = sol.measure_density_t(0, t) * (2 * np.pi / n_quad)
-    w = w / w.sum()
+    _, z, w, _ = equilibrium_measure(sol, n_quad)
     fz = f(z)
     if np.min(np.abs(fz)) < zero_threshold:
         raise BoundaryZero("f vanishes at a boundary node")
@@ -514,13 +498,10 @@ def classical_inverse_check(
     """
     if hole_radius <= 0:
         raise ValueError("hole radius must be positive")
-    from .curves import circle_domain
-    from .greens import equilibrium_measure
-
+    if samples < 1:
+        raise ValueError("need at least one sample point")
     sol = solve_green(circle_domain(1.0 / hole_radius), resolution)
-    pairs = equilibrium_measure(sol, resolution)
-    nodes = np.array([p for p, _ in pairs], dtype=complex)
-    weights = np.array([w for _, w in pairs])
+    _, nodes, weights, _ = equilibrium_measure(sol, resolution)
     support = 1.0 / nodes  # measure nodes on the boundary of K
 
     rng = np.random.default_rng(11)

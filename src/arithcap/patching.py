@@ -261,11 +261,9 @@ class PatchConfig:
     grid: int = 48
     max_refinements: int = 4
     max_degree: int = 8192
-    denominator_limit: int = 64
     spot_samples: int = 1000
     seed: int = 0
     threads: int = 1  # no effect: the spot check runs in one process
-    check_reconstruction: bool = True
 
 
 def choose_parameters(f: RatPoly, region: RegionSpec, config: PatchConfig = PatchConfig()) -> PatchParams:
@@ -621,16 +619,14 @@ def patch(m: RatPoly, region: RegionSpec, config: PatchConfig = PatchConfig()) -
             exact_cert_ok=True, reconstruction_ok=True, route="already-integer",
         )
 
-    f = rationalize(m, region, eps, r0, config.denominator_limit)
+    f = rationalize(m, region, eps, r0)
     if f.degree <= 1:
         f = f * f
     params = choose_parameters(f, region, config)
     # the certificate records epsilon for the *input* polynomial m
     params = dataclasses.replace(params, epsilon=eps)
     p, ledger = clear_fractional_parts(f, params.M, params.N, want_ledger=True)
-    recon_ok = True
-    if config.check_reconstruction:
-        recon_ok = reconstruction_residual(f, params.M, p, ledger).is_zero
+    recon_ok = reconstruction_residual(f, params.M, p, ledger).is_zero
     sc = spot_check_min_abs(p, region, float(params.r), config)
     cert_ok = params.inequalities_hold() and params.growth_inequality_holds(f.abs_tail_sum())
     return PatchCertificate(

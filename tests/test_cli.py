@@ -70,6 +70,12 @@ class TestCommands:
         assert abs(data["capacity"] - 2 / 3) < 1e-6
         assert abs(data["robin"] - math.log(1.5)) < 1e-6
 
+    def test_capacity_perturbed_mode_zero(self, capsys):
+        # the ripple at m = 0 scales the circle: radius 1.05, capacity 1/1.05
+        code, out = run_cli(["capacity", "--domain", "perturbed(1,0.05,0)"], capsys)
+        assert code == 0
+        assert abs(json.loads(out)["capacity"] - 1 / 1.05) < 1e-9
+
     def test_integerize_search(self, capsys):
         code, out = run_cli(
             ["integerize", "--poly", "x+1/2", "--top", "2", "--search"], capsys
@@ -120,6 +126,9 @@ class TestCommands:
             ["family", "--p", "X - 2", "--seeds", "[[0.5]]"],
             ["suggest-region", "--samples", "5"],
             ["suggest-region", "--samples", "[1]"],
+            ["capacity", "--domain", "perturbed(1,0.05,2.5)"],
+            ["classical-check", "--radius", "1.0", "--samples", "0"],
+            ["classical-check", "--radius", "1.0", "--samples", "-3"],
         ],
     )
     def test_bad_input_usage_error(self, capsys, tmp_path, args):

@@ -52,6 +52,17 @@ class TestCurves:
         c = circle_domain(2.0).curves[0]
         assert abs(c(np.array([0.0]))[0] - 2.0) < 1e-15
 
+    def test_perturbed_mode_zero_is_a_circle(self):
+        # at m = 0 all three coefficients sit at frequency 1: radius (1 + eps)
+        c = perturbed_circle_domain(1.0, 0.05, 0).curves[0]
+        assert c.freqs == (1,) and c.coeffs == (1.0 + 0.025 + 0.025,)
+        assert perturbed_circle_domain(2.0, 0.1, 2.0).curves[0] == perturbed_circle_domain(2.0, 0.1, 2).curves[0]
+
+    @pytest.mark.parametrize("mode", [2.5, float("nan"), float("inf")])
+    def test_perturbed_mode_must_be_integer(self, mode):
+        with pytest.raises(ValueError):
+            perturbed_circle_domain(1.0, 0.05, mode)
+
     def test_turning_number_normalized(self):
         # reversed input curve gets re-oriented ccw
         c = TrigCurve({-1: 1.5})  # clockwise circle
@@ -132,8 +143,10 @@ class TestSolveGreen:
     def test_measure_mass_and_positivity(self, dom):
         sol = solve_green(dom, 256)
         assert abs(sol.raw_weight_sum - 1.0) < 1e-3
-        assert np.all(sol.weights >= 0)
-        assert abs(sol.weights.sum() - 1.0) < 1e-14
+        _, _, w, mass = equilibrium_measure(sol, 256)
+        assert mass == sol.raw_weight_sum
+        assert np.all(w >= 0)
+        assert abs(w.sum() - 1.0) < 1e-14
 
     def test_green_positive_interior(self):
         rng = np.random.default_rng(3)
@@ -190,14 +203,13 @@ class TestSolveGreen:
 class TestEquilibriumMeasure:
     def test_centered_disk_uniform(self):
         sol = solve_green(circle_domain(2.0), 128)
-        pairs = equilibrium_measure(sol, 256)
-        ws = np.array([w for _, w in pairs])
+        _, _, ws, _ = equilibrium_measure(sol, 256)
         assert np.allclose(ws, 1 / 256, atol=1e-12)
 
     def test_normalization(self):
         for dom in TEST_DOMAINS:
             sol = solve_green(dom, 128)
-            ws = np.array([w for _, w in equilibrium_measure(sol, 200)])
+            _, _, ws, _ = equilibrium_measure(sol, 200)
             assert abs(ws.sum() - 1.0) < 1e-14
             assert np.all(ws >= 0)
 
@@ -208,15 +220,70 @@ class TestEquilibriumMeasure:
         assert abs(dens - want) < 1e-4 * want
 
 
+def _reference_equilibrium_measure(sol, nodes=256):
+    """equilibrium_measure before it returned arrays: a list of (point, weight)."""
+    t = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
+    pts = []
+    ws = []
+    for i, curve in enumerate(sol.domain.curves):
+        pts.append(curve(t))
+        ws.append(sol.measure_density_t(i, t) * (2 * np.pi / nodes))
+    pts = np.concatenate(pts)
+    ws = np.concatenate(ws)
+    ws = ws / ws.sum()
+    return list(zip(pts.tolist(), ws.tolist()))
+
+
+def _reference_offset_rule(sol, n, grid_offset):
+    """The energy route's inline rule before it moved into
+    equilibrium_measure, run curve after curve as overflow._measure_nodes
+    ran it: (t, z, normalized w, raw mass)."""
+    h = 2 * np.pi / n
+    t = np.linspace(0.0, 2 * np.pi, n, endpoint=False) + grid_offset * h
+    zs, ws = [], []
+    for i, curve in enumerate(sol.domain.curves):
+        zs.append(curve(t))
+        ws.append(sol.measure_density_t(i, t) * h)
+    w = np.concatenate(ws)
+    return t, np.concatenate(zs), w / w.sum(), float(w.sum())
+
+
+ANNULUS = DomainSpec([TrigCurve({1: 2.0}), TrigCurve({1: 0.4})], center=1.1)
+
+
+class TestMeasureRuleOracle:
+    """equilibrium_measure is the one trapezoid rule for the measure; it gives
+    the bits of every copy of the rule it replaced."""
+
+    @pytest.mark.parametrize(
+        "dom",
+        [circle_domain(1.5), perturbed_circle_domain(1.0, 0.05, 3), ANNULUS],
+        ids=["disk", "perturbed", "annulus"],
+    )
+    @pytest.mark.parametrize("offset", [0.0, 0.5, math.e / 7])
+    def test_bits(self, dom, offset):
+        sol = solve_green(dom, 192)
+        for nodes in (192, 500):
+            t, z, w, mass = equilibrium_measure(sol, nodes, offset)
+            rt, rz, rw, rmass = _reference_offset_rule(sol, nodes, offset)
+            assert t.tobytes() == np.tile(rt, len(dom.curves)).tobytes()
+            assert z.tobytes() == rz.tobytes()
+            assert w.tobytes() == rw.tobytes()
+            assert mass == rmass
+            if offset == 0.0:
+                pairs = _reference_equilibrium_measure(sol, nodes)
+                assert z.tobytes() == np.array([p for p, _ in pairs]).tobytes()
+                assert w.tobytes() == np.array([q for _, q in pairs]).tobytes()
+        # solve_green's mass is the rule's at the collocation resolution
+        assert sol.raw_weight_sum == _reference_offset_rule(sol, 192, 0.0)[3]
+
+
 class TestAnnulus:
     def test_two_curve_domain_basics(self):
-        dom = DomainSpec(
-            [TrigCurve({1: 2.0}), TrigCurve({1: 0.4})], center=1.1
-        )
-        sol = solve_green(dom, 192)
+        sol = solve_green(ANNULUS, 192)
         assert sol.collocation_residual < 1e-6
         assert abs(sol.raw_weight_sum - 1.0) < 1e-3
-        assert np.all(sol.weights >= -1e-12)
+        assert np.all(equilibrium_measure(sol, 192)[2] >= -1e-12)
         # Green positivity at a few interior points of the annulus
         for z in (1.5, -1.2, 1.1 + 0.7j):
             assert sol.green(z) > 0

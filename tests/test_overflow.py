@@ -32,7 +32,9 @@ from arithcap.errors import (
 )
 from arithcap.greens import GreenSolution, solve_green
 from arithcap.overflow import (
+    ClassicalCheck,
     _bump,
+    _center_divisor_sum,
     _deck_shifts,
     _energy_double_integral,
     _energy_with_retries,
@@ -625,6 +627,93 @@ class TestEnergyOracle:
         assert peak <= 64 * 2**20
 
 
+def _poly_compose(f, psi):
+    """Coefficients of f o psi, low degree first, by Horner's rule."""
+    out = np.zeros(1, dtype=complex)
+    for c in reversed(f):
+        out = np.polynomial.polynomial.polymul(out, psi)
+        out[0] += c
+    return out
+
+
+def _other_roots(P, w1):
+    """Roots of (P(w) - P(w1)) / (w - w1), the quotient by synthetic division."""
+    b = np.zeros(len(P) - 1, dtype=complex)
+    acc = 0j
+    for j in range(len(P) - 1, 0, -1):
+        acc = acc * w1 + P[j]
+        b[j - 1] = acc
+    return np.roots(b[::-1])
+
+
+def _jensen_overflow(psi, f, grid=1024, panel=0.25, order=32):
+    """Ex(f) on V = psi(closed unit disk), O = psi(0), from the exact measure.
+
+    The equilibrium measure is uniform in e^{is}, so with P = f o psi the
+    boundary energy is the Mahler measure m(P(x) - P(y)) (Boyd 1981) and the
+    log jet norm is log|P_e|, P_e the lowest nonzero coefficient.  Jensen's
+    formula gives the inner integral at w1 = e^{is}: log|p_d| plus the sum of
+    log+|rho| over the roots rho != w1 of P(w) - P(w1), since m(x - y) = 0.
+    The outer integrand has kinks where a root crosses |w| = 1: each is
+    bracketed on a grid by the count of roots outside, then bisected, and the
+    arcs between kinks get Gauss-Legendre panels.  A root that stays on
+    |w| = 1 (z^2 on a centered disk) is outside this helper's reach.
+    """
+    P = _poly_compose(f, psi)
+    P = P[: int(np.flatnonzero(P)[-1]) + 1]
+
+    def outside(s):
+        return np.abs(_other_roots(P, np.exp(1j * s))) > 1.0
+
+    def inner(s):
+        r = np.abs(_other_roots(P, np.exp(1j * s)))
+        return math.log(abs(P[-1])) + float(np.sum(np.log(np.maximum(r, 1.0))))
+
+    grid_s = np.linspace(0.0, 2 * np.pi, grid + 1)
+    counts = [int(outside(s).sum()) for s in grid_s]
+    kinks = []
+    for a, b, ca, cb in zip(grid_s[:-1], grid_s[1:], counts[:-1], counts[1:]):
+        if ca != cb:
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if outside(mid).sum() == ca else (a, mid)
+            kinks.append(0.5 * (a + b))
+    edges = [0.0] + kinks + [2 * np.pi]
+    x, wx = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        cuts = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / panel)) + 1)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            vals = [inner(0.5 * (b - a) * xi + 0.5 * (b + a)) for xi in x]
+            total += 0.5 * (b - a) * float(wx @ vals)
+    return total / (2 * np.pi) - math.log(abs(P[np.flatnonzero(P)[0]]))
+
+
+# (bench domain, psi, map, exact overflow)
+JENSEN_CASES = [
+    # P = 2.25 w^2: m(2.25 (x - y)(x + y)) = log 2.25 = log|P_2|, so Ex = 0
+    ("disk1.5", [0, 1.5], [0, 0, 1], 0.0),
+    ("disk0.8", [0, 0.8], [0, -0.5, 1], 0.670056352326593),
+    ("conformal", [0, 1.3, 0.2], [0, 0, 1], 0.096596648444073),
+    ("conformal", [0, 1.3, 0.2], [0, 0.3, -0.2, 1], 1.858643100986197),
+]
+
+
+class TestJensenOracle:
+    """Both overflow routes against the exact-measure value; these add to
+    criterion 6 and the bench's 1e-4 route check."""
+
+    @pytest.mark.parametrize("dname, psi, coeffs, want", JENSEN_CASES[1:])
+    def test_oracle_values(self, dname, psi, coeffs, want):
+        assert abs(_jensen_overflow(psi, coeffs) - want) < 1e-12
+
+    @pytest.mark.parametrize("dname, psi, coeffs, want", JENSEN_CASES)
+    def test_routes(self, bench_sols, dname, psi, coeffs, want):
+        sol, f = bench_sols[dname], PolyMap(coeffs)
+        assert abs(overflow(sol, f, "def", n_quad=2048) - want) <= 5e-6
+        assert abs(overflow(sol, f, "energy", n_quad=2048) - want) <= 1e-6
+
+
 class TestBoundaryIntegral:
     def test_identity_map(self, disk_sol):
         assert abs(log_abs_boundary_integral(disk_sol, Z) - math.log(RHO)) < 1e-10
@@ -669,6 +758,55 @@ class TestOverflow:
             overflow(disk_sol, PolyMap([1.0]), "def")
 
 
+def _reference_identity_residual(sol, f, which, x=None, n_quad=1024, zero_threshold=1e-9, jet_order=12):
+    """identity_residual with its inline measure rule, before the rule moved
+    into equilibrium_measure."""
+    O = sol.domain.center
+    fO = complex(f(np.array([O]))[0])
+    scale = 1.0 + float(np.max(np.abs(f(sol.nodes_z))))
+    if abs(fO) > 1e-8 * scale:
+        raise CenterNotZero(f"f(O) = {fO:.3g} is not zero")
+
+    t = np.linspace(0.0, 2 * np.pi, n_quad, endpoint=False)
+    curve = sol.domain.curves[0]
+    if len(sol.domain.curves) != 1:
+        raise ValueError("identity checks implemented for single-curve domains")
+    z = curve(t)
+    w = sol.measure_density_t(0, t) * (2 * np.pi / n_quad)
+    w = w / w.sum()
+    fz = f(z)
+    if np.min(np.abs(fz)) < zero_threshold:
+        raise BoundaryZero("f vanishes at a boundary node")
+    log_abs = float(w @ np.log(np.abs(fz)))
+
+    def divisor_plus_jet():
+        jet = taylor_jet(f, sol.domain, order=max(jet_order, getattr(f, "degree", 2) + 2))
+        return _center_divisor_sum(sol, f) + jet_cap_norm(jet, sol)
+
+    if which == "prop35":
+        return abs(log_abs - divisor_plus_jet())
+
+    fx = complex(f(np.array([complex(x)]))[0])
+    if abs(fx) < zero_threshold:
+        raise BoundaryZero(f"f(x) = {fx:.3g} too close to zero")
+    lhs_push = pushforward_green(sol, f, fx)
+    kernel = float(w @ np.log(np.abs(1.0 / fx - 1.0 / fz)))
+
+    if which == "prop34":
+        return abs(lhs_push - (kernel + log_abs))
+    return abs((lhs_push - divisor_plus_jet()) - kernel)
+
+
+class TestIdentityOracle:
+    @pytest.mark.parametrize("which", ["prop34", "prop35", "cor36"])
+    def test_bits(self, disk_sol, pert_sol, which):
+        for sol in (disk_sol, pert_sol):
+            for k in range(5):
+                x = complex(0.4 * np.exp(2j * np.pi * k / 5))
+                got = identity_residual(sol, ZQ, which, x=x, n_quad=512)
+                assert got == _reference_identity_residual(sol, ZQ, which, x=x, n_quad=512)
+
+
 class TestIdentities:
     def test_prop35_value(self, disk_sol):
         # both sides equal 2 ln 1.5
@@ -700,7 +838,40 @@ class TestIdentities:
             assert identity_residual(pert_sol, ZQ, "cor36", x=complex(x)) < 1e-5
 
 
+def _reference_classical_check(hole_radius, samples=20, resolution=256):
+    """classical_inverse_check before equilibrium_measure returned arrays:
+    the list of (point, weight) pairs turned back into arrays."""
+    sol = solve_green(circle_domain(1.0 / hole_radius), resolution)
+    t = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+    pts = sol.domain.curves[0](t)
+    ws = sol.measure_density_t(0, t) * (2 * np.pi / resolution)
+    pairs = list(zip(pts.tolist(), (ws / ws.sum()).tolist()))
+    nodes = np.array([p for p, _ in pairs], dtype=complex)
+    weights = np.array([w for _, w in pairs])
+    support = 1.0 / nodes
+
+    rng = np.random.default_rng(11)
+    radii = hole_radius * (1.0 + np.concatenate([[0.3, 1.0, 4.0, 99.0], rng.uniform(0.2, 8.0, max(samples - 4, 0))]))
+    angles = rng.uniform(0.0, 2 * np.pi, len(radii))
+    zs = radii[:samples] * np.exp(1j * angles[:samples])
+    worst = 0.0
+    for zz in zs:
+        G = sol.green(1.0 / zz)
+        potential = float(weights @ np.log(np.abs(zz - support)))
+        worst = max(worst, abs(G + (-sol.robin_c) - potential))
+    return ClassicalCheck(max_residual=worst, log_capacity=-sol.robin_c, robin_constant=sol.robin_c)
+
+
 class TestClassical:
+    @pytest.mark.parametrize("rho, samples", [(0.6, 20), (1.0, 3), (1.7, 7)])
+    def test_bits(self, rho, samples):
+        assert classical_inverse_check(rho, samples, 128) == _reference_classical_check(rho, samples, 128)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(ValueError):
+            classical_inverse_check(1.0, samples)
+
     def test_unit_disk_exact(self):
         res = classical_inverse_check(1.0, samples=20)
         assert res.max_residual < 1e-6
